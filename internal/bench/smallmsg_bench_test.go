@@ -3,6 +3,8 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/msg"
 	"repro/internal/via"
 )
 
@@ -106,5 +108,69 @@ func BenchmarkPostBatch(b *testing.B) {
 	b.StopTimer()
 	if b.N > 0 {
 		b.ReportMetric((r.meter.Now()-simStart).Micros()/float64(b.N), "sim-µs/op")
+	}
+}
+
+// BenchmarkEagerPingPong is the msg-level row of the small-message
+// path: one op is a 64 B eager round trip (A sends, B receives and
+// echoes, A receives) over a default endpoint pair, driven from one
+// goroutine so the number is the code's own cost, not a scheduler
+// hand-off.  It exercises what BenchmarkInlineSend cannot see from the
+// via layer: control announcements, credits, ring-descriptor recycling
+// and the batched repost.  Steady state allocates only the one 24 B
+// Segs slice per ring wrap documented at msg.armSlot (0 allocs/op as
+// -benchmem rounds it).
+func BenchmarkEagerPingPong(b *testing.B) {
+	const size = 64
+	c, err := cluster.New(cluster.Config{Nodes: 2, Kernel: benchKernelConfig(), TPTSlots: 4096})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ea, eb, err := c.EndpointPair(0, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := ea.Process().Malloc(size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	echo, err := eb.Process().Malloc(size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := src.FillPattern(0x5a); err != nil {
+		b.Fatal(err)
+	}
+	roundTrip := func() error {
+		if _, err := ea.Send(src, msg.Eager); err != nil {
+			return err
+		}
+		if _, err := eb.Recv(echo); err != nil {
+			return err
+		}
+		if _, err := eb.Send(echo, msg.Eager); err != nil {
+			return err
+		}
+		_, err := ea.Recv(src)
+		return err
+	}
+	if err := roundTrip(); err != nil { // warm: fault pages in, build descriptors
+		b.Fatal(err)
+	}
+	simStart := c.Meter.Now()
+	b.ReportAllocs()
+	b.SetBytes(2 * size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := roundTrip(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if b.N > 0 {
+		b.ReportMetric((c.Meter.Now()-simStart).Micros()/float64(b.N), "sim-µs/op")
+	}
+	if bad, err := src.VerifyPattern(0x5a); err != nil || len(bad) != 0 {
+		b.Fatalf("echoed payload corrupted: pages %v, %v", bad, err)
 	}
 }

@@ -118,43 +118,30 @@ func (r *Rank) recvCollRaw(src, tag int, buf *proc.Buffer) (int, error) {
 	// Serve the unexpected queue: current-epoch abort tokens win, then
 	// the matching tag.
 	keep := r.unexpected[src][:0]
-	var hit *pending
-	var aborted bool
-	for i := range r.unexpected[src] {
-		p := r.unexpected[src][i]
-		switch {
-		case p.tag == abortTag:
-			var e int64
-			if tmp := make([]byte, 8); p.data.Read(0, tmp) == nil {
-				e = int64(binary.LittleEndian.Uint64(tmp))
-			}
-			_ = r.proc.Free(p.data)
-			if uint64(e) >= r.epoch {
-				aborted = true
-			}
-		case p.tag == tag && hit == nil && !aborted:
-			cp := p
-			hit = &cp
-		default:
+	aborted := false
+	for _, p := range r.unexpected[src] {
+		if p.tag != abortTag {
 			keep = append(keep, p)
+			continue
 		}
+		var raw [8]byte
+		if p.data.Read(0, raw[:]) == nil && binary.LittleEndian.Uint64(raw[:]) >= r.epoch {
+			aborted = true
+		}
+		_ = r.proc.Free(p.data)
 	}
 	r.unexpected[src] = keep
 	if aborted {
-		if hit != nil {
-			_ = r.proc.Free(hit.data)
-		}
 		return 0, fmt.Errorf("%w: rank %d epoch %d: abort token from rank %d",
 			ErrCollectiveAborted, r.id, r.epoch, src)
 	}
-	if hit != nil {
-		return r.copyOut(*hit, buf)
+	for i, p := range keep {
+		if p.tag == tag {
+			return r.claim(src, i, buf)
+		}
 	}
 	for {
-		if err := r.recvHeaderInto(ep); err != nil {
-			return 0, err
-		}
-		gotTag, size, err := r.parseHeader()
+		gotTag, size, err := r.recvHeader(ep)
 		if err != nil {
 			return 0, err
 		}
@@ -174,26 +161,11 @@ func (r *Rank) recvCollRaw(src, tag int, buf *proc.Buffer) (int, error) {
 			continue // stale token from a finished epoch
 		}
 		if gotTag == tag {
-			if size > buf.Bytes {
-				return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, size, buf.Bytes)
-			}
-			n, err := ep.Recv(buf)
-			if err != nil {
-				return 0, err
-			}
-			if n != size {
-				return n, fmt.Errorf("mpi: payload %d, header said %d", n, size)
-			}
-			return n, nil
+			return r.recvPayload(ep, src, tag, size, buf)
 		}
-		stash, err := r.proc.Malloc(size)
-		if err != nil {
+		if err := r.stash(ep, src, gotTag, size); err != nil {
 			return 0, err
 		}
-		if _, err := ep.Recv(stash); err != nil {
-			return 0, err
-		}
-		r.unexpected[src] = append(r.unexpected[src], pending{tag: gotTag, data: stash, size: size})
 	}
 }
 
@@ -633,7 +605,7 @@ func (r *Rank) allreduceVecRD(acc []int64, op ReduceOp) error {
 	newid := -1
 	switch {
 	case r.id < 2*rem && r.id%2 == 0:
-		if err := putVec(cell, acc); err != nil {
+		if err := r.putVec(cell, acc); err != nil {
 			return err
 		}
 		if err := r.sendColl(r.id+1, reduceTag, cell); err != nil {
@@ -643,7 +615,7 @@ func (r *Rank) allreduceVecRD(acc []int64, op ReduceOp) error {
 		if _, err := r.recvColl(r.id-1, reduceTag, rcell); err != nil {
 			return err
 		}
-		if err := getVec(rcell, tmp); err != nil {
+		if err := r.getVec(rcell, tmp); err != nil {
 			return err
 		}
 		reduceInto(acc, tmp, op)
@@ -658,13 +630,13 @@ func (r *Rank) allreduceVecRD(acc []int64, op ReduceOp) error {
 			if pn < rem {
 				partner = pn*2 + 1
 			}
-			if err := putVec(cell, acc); err != nil {
+			if err := r.putVec(cell, acc); err != nil {
 				return err
 			}
 			if err := r.exchange(partner, partner, reduceTag, cell, rcell); err != nil {
 				return err
 			}
-			if err := getVec(rcell, tmp); err != nil {
+			if err := r.getVec(rcell, tmp); err != nil {
 				return err
 			}
 			reduceInto(acc, tmp, op)
@@ -672,7 +644,7 @@ func (r *Rank) allreduceVecRD(acc []int64, op ReduceOp) error {
 	}
 	if r.id < 2*rem {
 		if r.id%2 != 0 {
-			if err := putVec(cell, acc); err != nil {
+			if err := r.putVec(cell, acc); err != nil {
 				return err
 			}
 			return r.sendColl(r.id-1, reduceTag, cell)
@@ -680,7 +652,7 @@ func (r *Rank) allreduceVecRD(acc []int64, op ReduceOp) error {
 		if _, err := r.recvColl(r.id+1, reduceTag, rcell); err != nil {
 			return err
 		}
-		return getVec(rcell, acc)
+		return r.getVec(rcell, acc)
 	}
 	return nil
 }
@@ -692,6 +664,8 @@ func (r *Rank) allreduceVecRing(acc []int64, op ReduceOp) error {
 	n := len(r.world.ranks)
 	right := (r.id + 1) % n
 	left := (r.id - 1 + n) % n
+	// Unpack scratch for the received segment (sizes differ by at most one).
+	gotBuf := make([]int64, (len(acc)+n-1)/n)
 	xfer := func(seg []int64, recvLo, recvHi int, reduce bool) error {
 		sbuf, err := r.getScratch(8 * len(seg))
 		if err != nil {
@@ -703,14 +677,14 @@ func (r *Rank) allreduceVecRing(acc []int64, op ReduceOp) error {
 			return err
 		}
 		defer r.putScratch(rbuf)
-		if err := putVec(sbuf, seg); err != nil {
+		if err := r.putVec(sbuf, seg); err != nil {
 			return err
 		}
 		if err := r.exchange(right, left, reduceTag, sbuf, rbuf); err != nil {
 			return err
 		}
-		got := make([]int64, recvHi-recvLo)
-		if err := getVec(rbuf, got); err != nil {
+		got := gotBuf[:recvHi-recvLo]
+		if err := r.getVec(rbuf, got); err != nil {
 			return err
 		}
 		if reduce {
@@ -756,12 +730,12 @@ func (r *Rank) allreduceVecLinear(acc []int64, op ReduceOp) ([]int64, error) {
 			if _, err := r.recvColl(src, reduceTag, cell); err != nil {
 				return nil, err
 			}
-			if err := getVec(cell, tmp); err != nil {
+			if err := r.getVec(cell, tmp); err != nil {
 				return nil, err
 			}
 			reduceInto(acc, tmp, op)
 		}
-		if err := putVec(cell, acc); err != nil {
+		if err := r.putVec(cell, acc); err != nil {
 			return nil, err
 		}
 		for dst := 1; dst < n; dst++ {
@@ -771,7 +745,7 @@ func (r *Rank) allreduceVecLinear(acc []int64, op ReduceOp) ([]int64, error) {
 		}
 		return acc, nil
 	}
-	if err := putVec(cell, acc); err != nil {
+	if err := r.putVec(cell, acc); err != nil {
 		return nil, err
 	}
 	if err := r.sendColl(0, reduceTag, cell); err != nil {
@@ -780,7 +754,7 @@ func (r *Rank) allreduceVecLinear(acc []int64, op ReduceOp) ([]int64, error) {
 	if _, err := r.recvColl(0, bcastTag, cell); err != nil {
 		return nil, err
 	}
-	return acc, getVec(cell, acc)
+	return acc, r.getVec(cell, acc)
 }
 
 // Gather collects every rank's buffer at the root: root receives rank
@@ -799,11 +773,7 @@ func (r *Rank) Gather(root int, buf *proc.Buffer, dsts []*proc.Buffer) error {
 		return fmt.Errorf("mpi: gather needs %d destination buffers, got %d", n, len(dsts))
 	}
 	// Root's own contribution.
-	tmp := make([]byte, buf.Bytes)
-	if err := buf.Read(0, tmp); err != nil {
-		return err
-	}
-	if err := dsts[root].Write(0, tmp); err != nil {
+	if err := r.copyBuf(dsts[root], buf, buf.Bytes); err != nil {
 		return err
 	}
 	for src := 0; src < n; src++ {
@@ -829,11 +799,8 @@ func (r *Rank) Alltoall(sendBufs, recvBufs []*proc.Buffer) error {
 		return fmt.Errorf("mpi: alltoall needs %d send and recv buffers", n)
 	}
 	// Local copy.
-	tmp := make([]byte, sendBufs[r.id].Bytes)
-	if err := sendBufs[r.id].Read(0, tmp); err != nil {
-		return err
-	}
-	if err := recvBufs[r.id].Write(0, tmp[:min(len(tmp), recvBufs[r.id].Bytes)]); err != nil {
+	own, dst := sendBufs[r.id], recvBufs[r.id]
+	if err := r.copyBuf(dst, own, min(own.Bytes, dst.Bytes)); err != nil {
 		return err
 	}
 	if r.algo() == AlgoLinear {
@@ -907,17 +874,18 @@ func getI64(b *proc.Buffer, off int) (int64, error) {
 	return int64(binary.LittleEndian.Uint64(raw[:])), nil
 }
 
-// putVec / getVec move little-endian int64 vectors through sim buffers.
-func putVec(b *proc.Buffer, vals []int64) error {
-	raw := make([]byte, 8*len(vals))
+// putVec / getVec move little-endian int64 vectors through sim buffers,
+// packing in the rank's host staging slice.
+func (r *Rank) putVec(b *proc.Buffer, vals []int64) error {
+	raw := r.hostScratch(8 * len(vals))
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(raw[8*i:], uint64(v))
 	}
 	return b.Write(0, raw)
 }
 
-func getVec(b *proc.Buffer, out []int64) error {
-	raw := make([]byte, 8*len(out))
+func (r *Rank) getVec(b *proc.Buffer, out []int64) error {
+	raw := r.hostScratch(8 * len(out))
 	if err := b.Read(0, raw); err != nil {
 		return err
 	}

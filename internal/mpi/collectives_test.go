@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mm"
 	"repro/internal/msg"
+	"repro/internal/race"
 )
 
 // worldOpts builds a world with explicit options on a fresh cluster.
@@ -432,4 +434,64 @@ func TestStaleAbortTokenDropped(t *testing.T) {
 		_, err := r.Allreduce(int64(r.ID()), OpSum)
 		return err
 	})
+}
+
+// TestAllreduceAllocBudget pins the host-side cost of the log-step
+// allreduce on the E21 world shape: once endpoints are paired and
+// scratch pools are warm, a 16-rank recursive-doubling allreduce (4
+// rounds, 64 messages) allocates at most one object per message sent.
+// The steady state measures 0; the budget leaves room for the waits
+// that really block and so pay for a channel.
+func TestAllreduceAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	const ranks, messages = 16, 16 * 4
+	_, w := worldOpts(t, 4, ranks, WorldOptions{
+		Lazy:     true,
+		SharedCQ: true,
+		Endpoint: msg.Options{RDMAEager: true, RingSlots: 4, SlotBytes: 4096},
+	})
+	// Persistent rank goroutines, one allreduce per token.
+	start := make([]chan struct{}, ranks)
+	done := make(chan error, ranks)
+	for i := range start {
+		r, err := w.Rank(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start[i] = make(chan struct{})
+		go func(r *Rank, start <-chan struct{}) {
+			for range start {
+				v, err := r.Allreduce(int64(r.ID()), OpSum)
+				if err == nil && v != ranks*(ranks-1)/2 {
+					err = fmt.Errorf("rank %d: sum %d", r.ID(), v)
+				}
+				done <- err
+			}
+		}(r, start[i])
+	}
+	t.Cleanup(func() {
+		for _, c := range start {
+			close(c)
+		}
+	})
+	allreduce := func() {
+		for _, c := range start {
+			c <- struct{}{}
+		}
+		for range start {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ { // warm: lazy pairing, scratch pools, descriptors
+		allreduce()
+	}
+	if got := testing.AllocsPerRun(50, allreduce); got > messages {
+		t.Fatalf("warmed %d-rank allreduce allocates %v objects, budget %d (one per message)", ranks, got, messages)
+	} else {
+		t.Logf("warmed %d-rank allreduce: %v objects per op", ranks, got)
+	}
 }

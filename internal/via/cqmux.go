@@ -3,6 +3,7 @@ package via
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,21 +212,33 @@ func (m *CQMux) routeLocked(c Completion) {
 // WaitDesc blocks until the descriptor completes and its completion has
 // been consumed from the shared CQ (or provably lost), then returns the
 // final status.  It is the mux-mode replacement for Descriptor.Wait.
+//
+// A CQ entry only counts while the descriptor is complete: owners
+// recycle descriptors, and an entry still on the queue at Forget time
+// surfaces during the next life, where it must not end the wait early.
 func (m *CQMux) WaitDesc(d *Descriptor) Status {
-	m.mu.Lock()
-	if _, ok := m.pending[d]; ok {
-		delete(m.pending, d)
-		m.mu.Unlock()
+	// Already complete and the entry is parked or still on the queue:
+	// nothing to allocate.
+	if d.Completed() && (m.takeOrWait(d, nil) || m.pumpFor(d)) {
 		return d.Status
 	}
 	ch := make(chan Completion, 1)
-	m.waiters[d] = ch
-	m.mu.Unlock()
-
-	select {
-	case <-ch:
-		return d.Status
-	case <-d.Done():
+	for {
+		routed := m.takeOrWait(d, ch)
+		if !routed {
+			select {
+			case <-ch:
+				routed = true
+			case <-d.Done():
+			}
+		}
+		if !routed {
+			break
+		}
+		if d.Completed() {
+			return d.Status
+		}
+		// A leftover of the descriptor's previous life; keep waiting.
 	}
 	// The descriptor is done but its completion hasn't been routed to
 	// us yet.  Drain the CQ ourselves rather than waiting on the
@@ -248,6 +261,21 @@ func (m *CQMux) WaitDesc(d *Descriptor) Status {
 	}
 	m.mu.Unlock()
 	return d.Status
+}
+
+// takeOrWait consumes d's parked completion and reports true, or, when
+// there is none, registers ch (if non-nil) as d's waiter.
+func (m *CQMux) takeOrWait(d *Descriptor, ch chan Completion) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.pending[d]; ok {
+		delete(m.pending, d)
+		return true
+	}
+	if ch != nil {
+		m.waiters[d] = ch
+	}
+	return false
 }
 
 // pumpFor drains CQ entries, routing others' completions normally,
@@ -276,10 +304,15 @@ func (m *CQMux) pumpFor(d *Descriptor) bool {
 
 // Forget drops any parked completion or registered waiter for d.  Call
 // it when abandoning a descriptor whose completion may never be waited
-// (e.g. ring descriptors discarded during connection recovery).
+// (e.g. ring descriptors discarded during connection recovery), and
+// before the Reset of a descriptor about to be reposted: the mux keys
+// its state by pointer, so leftovers would belong to the next life.
 func (m *CQMux) Forget(d *Descriptor) {
 	m.mu.Lock()
-	delete(m.pending, d)
+	if _, ok := m.pending[d]; ok {
+		delete(m.pending, d)
+		m.fifo = slices.DeleteFunc(m.fifo, func(p *Descriptor) bool { return p == d })
+	}
 	delete(m.waiters, d)
 	m.mu.Unlock()
 }

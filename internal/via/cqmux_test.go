@@ -183,6 +183,88 @@ func TestCQMuxForget(t *testing.T) {
 	}
 }
 
+// waitParked blocks until the poller has parked at least n completions.
+func (r *muxRig) waitParked(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); r.mux.Stats().Pending < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("poller parked %d completions, want %d", r.mux.Stats().Pending, n)
+		}
+	}
+}
+
+// TestCQMuxForgetThenResetLeavesNothing is the recycling contract:
+// after Forget and Reset the mux holds no parked completion, waiter or
+// eviction-order entry keyed by the descriptor, so nothing from its
+// previous life can be matched to the next one.
+func TestCQMuxForgetThenResetLeavesNothing(t *testing.T) {
+	r := newMuxRig(t, 1)
+	sd := r.sendOn(t, 0)
+	r.waitParked(t, 1)
+	r.mux.Forget(sd)
+	sd.Reset()
+	m := r.mux
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.pending[sd]; ok {
+		t.Error("parked completion survived Forget")
+	}
+	if _, ok := m.waiters[sd]; ok {
+		t.Error("waiter survived Forget")
+	}
+	for _, p := range m.fifo {
+		if p == sd {
+			t.Error("eviction-order entry survived Forget")
+		}
+	}
+}
+
+// TestCQMuxStaleCompletionIgnored recycles a descriptor whose previous
+// completion the mux still holds (it was on the queue at Forget time):
+// neither the parked entry nor one routed to the registered waiter may
+// end the next life's wait before the descriptor really completes.
+func TestCQMuxStaleCompletionIgnored(t *testing.T) {
+	r := newMuxRig(t, 1)
+	sd := r.sendOn(t, 0)
+	if st := sd.Wait(); st != StatusSuccess {
+		t.Fatalf("status %v", st)
+	}
+	r.waitParked(t, 1)
+	sd.Reset() // no Forget: the parked entry now belongs to a past life
+
+	got := make(chan Status, 1)
+	go func() { got <- r.mux.WaitDesc(sd) }()
+	// A second leftover reaches the waiter through the poller.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.mux.mu.Lock()
+		_, registered := r.mux.waiters[sd]
+		r.mux.mu.Unlock()
+		if registered {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never registered")
+		}
+	}
+	r.mux.CQ().push(Completion{VI: r.visA[0], Desc: sd})
+	select {
+	case st := <-got:
+		t.Fatalf("wait ended with %v on a completion from the previous life", st)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	rd := NewDescriptor(OpRecv, Segment{Handle: r.hB[0], Offset: 0, Length: 64})
+	if err := r.visB[0].PostRecv(rd); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.visA[0].PostSend(sd); err != nil {
+		t.Fatal(err)
+	}
+	if st := <-got; st != StatusSuccess {
+		t.Fatalf("status %v after the real completion", st)
+	}
+}
+
 func TestCQMuxCloseUnblocksViaDescriptor(t *testing.T) {
 	r := newMuxRig(t, 1)
 	sd := r.sendOn(t, 0)

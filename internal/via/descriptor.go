@@ -225,14 +225,24 @@ func (d *Descriptor) TotalLength() int {
 // them).  Payloads beyond MaxInlineData are refused; the posting NIC
 // additionally enforces its configured InlineMax.
 func (d *Descriptor) SetInline(p []byte) error {
-	if len(p) > MaxInlineData {
-		return fmt.Errorf("%w: %d > %d", ErrInlineTooLarge, len(p), MaxInlineData)
+	img, err := d.InlineBuf(len(p))
+	copy(img, p)
+	return err
+}
+
+// InlineBuf is SetInline without the intermediate copy: it sizes the
+// inline image to n bytes and returns it for the caller to fill in
+// place (the programmed-I/O write of the payload into the descriptor).
+// The slice aliases the descriptor and is valid until the next Reset.
+func (d *Descriptor) InlineBuf(n int) ([]byte, error) {
+	if n > MaxInlineData {
+		return nil, fmt.Errorf("%w: %d > %d", ErrInlineTooLarge, n, MaxInlineData)
 	}
 	if len(d.Segs) > 0 {
-		return errors.New("via: SetInline on a descriptor with segments")
+		return nil, errors.New("via: inline payload on a descriptor with segments")
 	}
-	d.inlineLen = copy(d.inline[:], p)
-	return nil
+	d.inlineLen = n
+	return d.inline[:n], nil
 }
 
 // Inline returns the valid inline payload (nil when the descriptor is
@@ -257,12 +267,15 @@ func (d *Descriptor) setInlineRecv(p []byte) {
 
 // complete finalizes the descriptor and reports whether this call won
 // the completion.  The first completion wins; later calls are ignored.
-func (d *Descriptor) complete(st Status, transferred int) bool {
+// The winner also gets the observability stamps, read under the lock:
+// once completed is set the owner may Reset and repost the descriptor.
+func (d *Descriptor) complete(st Status, transferred int) (won bool, span trace.SpanID, postSim simtime.Duration) {
 	d.mu.Lock()
 	if d.completed {
 		d.mu.Unlock()
-		return false
+		return false, 0, 0
 	}
+	span, postSim = d.span, d.postSim
 	d.Status = st
 	d.Transferred = transferred
 	d.completed = true
@@ -270,7 +283,17 @@ func (d *Descriptor) complete(st Status, transferred int) bool {
 		close(d.done)
 	}
 	d.mu.Unlock()
-	return true
+	return true, span, postSim
+}
+
+// Completed reports whether the descriptor has reached a terminal
+// status since it was built or last Reset; Status and Transferred may
+// be read once it returns true.
+func (d *Descriptor) Completed() bool {
+	d.mu.Lock()
+	c := d.completed
+	d.mu.Unlock()
+	return c
 }
 
 // Done returns a channel closed when the descriptor completes.
@@ -288,8 +311,11 @@ func (d *Descriptor) Done() <-chan struct{} {
 }
 
 // Wait blocks until the descriptor completes and returns its status.
+// Only a wait that actually blocks creates the done channel.
 func (d *Descriptor) Wait() Status {
-	<-d.Done()
+	if !d.Completed() {
+		<-d.Done()
+	}
 	return d.Status
 }
 

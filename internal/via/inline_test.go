@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/race"
 	"repro/internal/trace"
 )
 
@@ -109,7 +110,7 @@ func TestInlineMaxBoundary(t *testing.T) {
 // descriptor image — with the observer detached (shipping config) and
 // attached (spans and counters preallocated).
 func TestInlineZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	payload := make([]byte, 64)

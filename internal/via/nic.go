@@ -761,17 +761,17 @@ func (n *NIC) completionCheck(v *VI) error {
 
 // gather collects a descriptor's local segments through the TPT into a
 // pooled payload buffer.  The caller must release the returned token
-// with putPayload once the payload is no longer referenced.
-func (n *NIC) gather(v *VI, d *Descriptor) ([]byte, *payloadBuf, error) {
+// with PutPayload once the payload is no longer referenced.
+func (n *NIC) gather(v *VI, d *Descriptor) ([]byte, *PayloadBuf, error) {
 	total := d.TotalLength()
 	if total == 0 {
 		return nil, nil, nil
 	}
-	buf, pb := getPayload(total)
+	buf, pb := GetPayload(total)
 	pos := 0
 	for _, s := range d.Segs {
 		if err := n.tptCopy(s.Handle, s.Offset, buf[pos:pos+s.Length], v.tag, false, nil); err != nil {
-			putPayload(pb)
+			PutPayload(pb)
 			return nil, nil, err
 		}
 		pos += s.Length
@@ -812,7 +812,7 @@ func (n *NIC) processSend(v, peer *VI, d *Descriptor) {
 		v.completeSend(d, StatusProtectionError, 0)
 		return
 	}
-	defer putPayload(pb)
+	defer PutPayload(pb)
 	if err := n.linkCheck(peer); err != nil {
 		n.faultSend(v, d, err)
 		return
@@ -957,7 +957,7 @@ func (n *NIC) processRDMAWrite(v, peer *VI, d *Descriptor) {
 		v.completeSend(d, StatusProtectionError, 0)
 		return
 	}
-	defer putPayload(pb)
+	defer PutPayload(pb)
 	if err := n.linkCheck(peer); err != nil {
 		n.faultSend(v, d, err)
 		return
@@ -1001,8 +1001,8 @@ func (n *NIC) processRDMARead(v, peer *VI, d *Descriptor) {
 		return
 	}
 	total := d.TotalLength()
-	buf, pb := getPayload(total)
-	defer putPayload(pb)
+	buf, pb := GetPayload(total)
+	defer PutPayload(pb)
 	n.meter.Charge(n.meter.Costs.WireLatency) // request
 	pn := peer.nic
 	err := pn.tptCopy(d.Remote.Handle, d.Remote.Offset, buf, peer.tag, false,

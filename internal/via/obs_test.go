@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/phys"
+	"repro/internal/race"
 	"repro/internal/trace"
 )
 
@@ -138,7 +139,7 @@ func TestAttachObsDescriptorSpans(t *testing.T) {
 // whether the observer is detached (the shipping configuration) or
 // attached (ring slots and histogram buckets are preallocated).
 func TestDataPathZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	const n = 512

@@ -11,31 +11,34 @@ import (
 // (the simulated equivalent of the DMA engine's streaming FIFO).  At
 // high message rates allocating that buffer per descriptor dominates
 // the path, so buffers up to maxPooledPayload are recycled through a
-// sync.Pool and the steady-state send/RDMA paths allocate nothing.
+// sync.Pool and the steady-state send/RDMA paths allocate nothing.  The
+// msg layer borrows its eager bounce copies from the same pool, so no
+// endpoint owns a staging buffer and the heap stays flat at any VI
+// count.
 const maxPooledPayload = 256 << 10
 
-// payloadBuf wraps the byte slice so pool round-trips stay pointer-sized
-// and allocation-free.
-type payloadBuf struct{ b []byte }
+// PayloadBuf is the pool token GetPayload hands out; it wraps the byte
+// slice so pool round-trips stay pointer-sized and allocation-free.
+type PayloadBuf struct{ b []byte }
 
-var payloadPool = sync.Pool{New: func() any { return new(payloadBuf) }}
+var payloadPool = sync.Pool{New: func() any { return new(PayloadBuf) }}
 
 // extentPool recycles the scratch extent slices tptCopy hands to
 // translateRange, keeping multi-page translations allocation-free too.
 var extentPool = sync.Pool{New: func() any { e := make([]extent, 0, 32); return &e }}
 
-// getPayload returns a zero-copy-capable buffer of length n plus the
-// pool token to release it with putPayload (nil token for unpooled
-// buffers).  Pooled buffers grow to the next power of two so a mix of
-// sizes converges instead of reallocating on every class change.
-func getPayload(n int) ([]byte, *payloadBuf) {
+// GetPayload returns a staging buffer of length n (contents undefined)
+// plus the pool token to release it with PutPayload (nil token for
+// unpooled buffers).  Pooled buffers grow to the next power of two so a
+// mix of sizes converges instead of reallocating on every class change.
+func GetPayload(n int) ([]byte, *PayloadBuf) {
 	if n == 0 {
 		return nil, nil
 	}
 	if n > maxPooledPayload {
 		return make([]byte, n), nil
 	}
-	pb := payloadPool.Get().(*payloadBuf)
+	pb := payloadPool.Get().(*PayloadBuf)
 	if cap(pb.b) < n {
 		c := 1 << bits.Len(uint(n-1))
 		if c < phys.PageSize {
@@ -46,8 +49,9 @@ func getPayload(n int) ([]byte, *payloadBuf) {
 	return pb.b[:n], pb
 }
 
-// putPayload returns a pooled buffer; a nil token is a no-op.
-func putPayload(pb *payloadBuf) {
+// PutPayload returns a pooled buffer; a nil token is a no-op.  The slice
+// GetPayload returned must not be used afterwards.
+func PutPayload(pb *PayloadBuf) {
 	if pb != nil {
 		payloadPool.Put(pb)
 	}

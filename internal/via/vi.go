@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/simtime"
 	"repro/internal/trace"
 )
 
@@ -145,16 +146,16 @@ func (v *VI) SetMaxTransferSize(n int) {
 
 // completeSend finalizes a send-queue descriptor and notifies the CQ.
 func (v *VI) completeSend(d *Descriptor, st Status, n int) {
-	if d.complete(st, n) {
-		v.observeComplete(d, trace.KindDescSend, st, n, false)
+	if won, span, postSim := d.complete(st, n); won {
+		v.observeComplete(span, postSim, trace.KindDescSend, st, n, false)
 	}
 	v.sendCQ.push(Completion{VI: v, Desc: d})
 }
 
 // completeRecv finalizes a receive descriptor and notifies the CQ.
 func (v *VI) completeRecv(d *Descriptor, st Status, n int) {
-	if d.complete(st, n) {
-		v.observeComplete(d, trace.KindDescRecv, st, n, true)
+	if won, span, postSim := d.complete(st, n); won {
+		v.observeComplete(span, postSim, trace.KindDescRecv, st, n, true)
 	}
 	v.recvCQ.push(Completion{VI: v, Desc: d, Recv: true})
 }
@@ -174,8 +175,8 @@ func (v *VI) completeSendBatch(ds []*Descriptor, st Status) {
 	}
 	cs := make([]Completion, len(ds))
 	for i, d := range ds {
-		if d.complete(st, 0) {
-			v.observeComplete(d, trace.KindDescSend, st, 0, false)
+		if won, span, postSim := d.complete(st, 0); won {
+			v.observeComplete(span, postSim, trace.KindDescSend, st, 0, false)
 		}
 		cs[i] = Completion{VI: v, Desc: d}
 	}
@@ -196,8 +197,8 @@ func (v *VI) completeRecvBatch(ds []*Descriptor, st Status) {
 	}
 	cs := make([]Completion, len(ds))
 	for i, d := range ds {
-		if d.complete(st, 0) {
-			v.observeComplete(d, trace.KindDescRecv, st, 0, true)
+		if won, span, postSim := d.complete(st, 0); won {
+			v.observeComplete(span, postSim, trace.KindDescRecv, st, 0, true)
 		}
 		cs[i] = Completion{VI: v, Desc: d, Recv: true}
 	}
@@ -206,18 +207,20 @@ func (v *VI) completeRecvBatch(ds []*Descriptor, st Status) {
 
 // observeComplete closes a descriptor's lifecycle span and records its
 // post-to-complete virtual latency.  Only the winning completion calls
-// it, so every posted span ends exactly once.
-func (v *VI) observeComplete(d *Descriptor, k trace.Kind, st Status, n int, recv bool) {
+// it, so every posted span ends exactly once.  span and postSim are the
+// descriptor's stamps as complete captured them: the descriptor itself
+// may already be recycled by its owner.
+func (v *VI) observeComplete(span trace.SpanID, postSim simtime.Duration, k trace.Kind, st Status, n int, recv bool) {
 	obs := v.nic.obs.Load()
-	if obs == nil || d.span == 0 {
+	if obs == nil || span == 0 {
 		return
 	}
-	obs.trc.End(d.span, k, uint64(st), uint64(n))
+	obs.trc.End(span, k, uint64(st), uint64(n))
 	h := obs.descSend
 	if recv {
 		h = obs.descRecv
 	}
-	h.Observe(int64(v.nic.meter.Now() - d.postSim))
+	h.Observe(int64(v.nic.meter.Now() - postSim))
 }
 
 // ID returns the VI number on its NIC.
