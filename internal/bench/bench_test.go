@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/msg"
 	"repro/internal/regcache"
 )
 
@@ -321,21 +322,25 @@ func TestBigphysOutput(t *testing.T) {
 // TestRendezvousPointShape checks the E19 headline at one point: on
 // swap-cold buffers the pipelined rendezvous must beat the serialized
 // one by at least 1.5x, and the trace spans must prove substantial
-// registration/transfer overlap.
+// registration/transfer overlap.  The serialized column is the same
+// loop with one grant: one registration per side, one transfer.
 func TestRendezvousPointShape(t *testing.T) {
-	ser, err := rendezvousRun(256*1024, -1, true)
+	const size = 256 * 1024
+	ser, err := rendezvousRun(size, rendezvousShapes[0](size), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := rendezvousRun(256*1024, 2, true)
+	pipe, err := rendezvousRun(size, rendezvousShapes[2](size), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ser.hasSpan {
-		t.Error("serialized run emitted chunk spans")
+	if ser.regSpans != 2 || ser.xferSpans != 1 {
+		t.Errorf("serialized run emitted %d chunk-reg and %d chunk-xfer spans, want 2 (one per side) and 1",
+			ser.regSpans, ser.xferSpans)
 	}
-	if !pipe.hasSpan {
-		t.Fatal("pipelined run emitted no chunk spans")
+	if want := size / msg.DefaultPipelineChunk; pipe.regSpans != 2*want || pipe.xferSpans != want {
+		t.Fatalf("pipelined run emitted %d chunk-reg and %d chunk-xfer spans, want %d and %d",
+			pipe.regSpans, pipe.xferSpans, 2*want, want)
 	}
 	speedup := float64(ser.elapsed) / float64(pipe.elapsed)
 	if speedup < 1.5 {

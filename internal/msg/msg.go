@@ -4,7 +4,7 @@
 // path that streams chunks from registered user memory into the
 // receiver's bounce ring, and a zero-copy rendezvous that registers the
 // user buffers on the fly (through the registration cache) and moves the
-// payload with a single RDMA write.
+// payload with RDMA writes (rendezvous.go).
 //
 // Control traffic (the "message info structs" the original keeps in SCI
 // shared memory) travels over a per-endpoint control channel and is
@@ -22,7 +22,6 @@ import (
 	"repro/internal/proc"
 	"repro/internal/regcache"
 	"repro/internal/simtime"
-	"repro/internal/trace"
 	"repro/internal/via"
 	"repro/internal/vipl"
 )
@@ -102,29 +101,21 @@ type Options struct {
 	// EagerMax is the largest message Auto sends eagerly (0 = the
 	// package-level EagerMax).
 	EagerMax int
-	// InlineMax is the largest message the eager path sends as one
-	// inline descriptor: the payload rides inside the descriptor image —
-	// no TPT translation, no gather DMA, no bounce-buffer copy on either
-	// side (the NIC delivers straight into the posted receive
-	// descriptor).  0 selects via.MaxInlineData; negative disables the
-	// inline fast path.  The NIC's own InlineMax attribute is honoured
-	// on top of this bound.
-	InlineMax int
 	// OneCopyMax is the largest message Auto sends by chunked one-copy
 	// (0 = the package-level OneCopyMax).
 	OneCopyMax int
-	// PipelineDepth selects the rendezvous shape: 0 picks
-	// DefaultPipelineDepth; a negative depth disables chunking entirely
-	// (the serialized legacy rendezvous: whole-buffer registration, one
-	// RDMA write); 1 chunks the transfer but keeps registration and
-	// transfer strictly serialized (the overlap ablation); >= 2
+	// PipelineDepth selects the rendezvous schedule: 0 picks
+	// DefaultPipelineDepth; 1 keeps each chunk's registration and
+	// transfer in strict lockstep (the overlap ablation); >= 2
 	// double-buffers, hiding each chunk's registration behind the
-	// previous chunk's transfer.  The deterministic lockstep schedule
-	// never holds more than two chunks in flight, so depths above 2
-	// behave exactly like 2 (DESIGN.md §9).
+	// previous chunk's transfer.  The deterministic schedule never holds
+	// more than two chunks in flight, so depths above 2 behave exactly
+	// like 2 (DESIGN.md §9).
 	PipelineDepth int
-	// PipelineChunk is the pipeline chunk size in bytes (0 =
-	// DefaultPipelineChunk).
+	// PipelineChunk is the rendezvous chunk size in bytes (0 =
+	// DefaultPipelineChunk).  A chunk at least as large as the message
+	// makes the transfer a single grant: whole-buffer registration, then
+	// the payload — the serialized rendezvous.
 	PipelineChunk int
 	// NoPin registers payload buffers pin-free (RegNoPin): the kernel
 	// may evict their pages mid-transfer and the NIC recovers through IO
@@ -178,15 +169,10 @@ func (o Options) withDefaults() Options {
 	if o.EagerMax == 0 {
 		o.EagerMax = EagerMax
 	}
-	if o.InlineMax == 0 {
-		o.InlineMax = via.MaxInlineData
-	} else if o.InlineMax < 0 {
-		o.InlineMax = 0
-	}
 	if o.OneCopyMax == 0 {
 		o.OneCopyMax = OneCopyMax
 	}
-	if o.PipelineDepth == 0 {
+	if o.PipelineDepth <= 0 {
 		o.PipelineDepth = DefaultPipelineDepth
 	}
 	if o.PipelineChunk == 0 {
@@ -213,11 +199,13 @@ type Stats struct {
 	InlineSends uint64
 	OneCopies   uint64
 	ZeroCopies  uint64
-	// PipelinedSends counts zero-copy sends that ran the pipelined
-	// rendezvous; PipelineChunks the chunks they moved.
+	// PipelinedSends counts sends that completed through the rendezvous
+	// engine over registered buffers (every ZeroCopy and persistent
+	// send); PipelineChunks the grants they moved — one for a
+	// single-grant transfer.
 	PipelinedSends uint64
 	PipelineChunks uint64
-	// PipelineFallbacks counts pipelined rendezvous that degraded to the
+	// PipelineFallbacks counts such rendezvous that degraded to the
 	// one-copy path after a chunk registration fault.
 	PipelineFallbacks uint64
 	// Remap protocol activity: RemapSends/RemapRecvs count completed
@@ -248,8 +236,9 @@ var (
 	// ErrRetriesExhausted reports a reliable send that failed every
 	// attempt; the peer is told to stop waiting via kAbort.
 	ErrRetriesExhausted = errors.New("msg: retries exhausted")
-	// ErrPeerAborted reports that the peer gave up on a reliable
-	// transfer after exhausting its retries.
+	// ErrPeerAborted reports that the peer gave up on the transfer: a
+	// reliable sender out of retries, or a rendezvous receiver whose
+	// buffer cannot hold the message.
 	ErrPeerAborted = errors.New("msg: peer aborted transfer")
 	// ErrRecvTimeout reports that Recv waited longer than the
 	// endpoint's RecvTimeout for the next message announcement.
@@ -264,22 +253,15 @@ type ctrlKind uint8
 
 const (
 	kInline     ctrlKind = iota // eager/one-copy announcement
-	kRTS                        // zero-copy request to send
-	kCTS                        // zero-copy clear to send (carries handle)
-	kFin                        // zero-copy completion
+	kRTS                        // rendezvous: request to send (size, chunking, remap mode)
+	kGrant                      // rendezvous: one chunk's remote handle and offset
+	kFin                        // rendezvous: one chunk's RDMA writes completed
+	kRndvAbort                  // rendezvous: unwind, for the reason carried
 	kReset                      // reliability: sender starts connection recovery
 	kResetAck                   // reliability: receiver has reset its VI
 	kRingRepost                 // reliability: connection is back, repost your ring
 	kAbort                      // reliability: sender gave up, stop waiting
 	kDone                       // reliability: receiver delivered the sequence number
-	kChunkGrant                 // pipelined rendezvous: one chunk's remote handle
-	kChunkFin                   // pipelined rendezvous: one chunk's RDMA completed
-	kRndvAbort                  // pipelined rendezvous: unwind, sender degrades
-	kRemapRTS                   // remap: request to send (carries size)
-	kRemapGrant                 // remap: staged-frame region handle
-	kRemapNak                   // remap: receiver declines, sender degrades
-	kRemapFin                   // remap: payload landed in the staged frames
-	kRemapAbort                 // remap: sender's RDMA failed, release staging
 )
 
 type ctrlMsg struct {
@@ -291,15 +273,18 @@ type ctrlMsg struct {
 	// completion (data delivered, sender unsure) is detected and
 	// discarded by the receiver instead of delivered twice.
 	seq uint64
-	// Pipelined rendezvous fields: chunk is the pipeline chunk size
-	// (carried by the RTS), idx the chunk index, offset the byte offset
-	// within the granted region the chunk lands at, and cost the
-	// sim-time the peer spent on the operation the message reports —
-	// the other side's overlap accounting rewinds by it (DESIGN.md §9).
+	// Rendezvous fields: chunk is the chunk size and remap the delivery
+	// mode (both carried by the RTS), idx the chunk index, offset the
+	// byte offset within the granted region the chunk lands at, cost the
+	// sim-time the peer spent on the operation the message reports — the
+	// other side's overlap accounting rewinds by it (DESIGN.md §9) — and
+	// reason why an ABORT was sent.
 	chunk  int
+	remap  bool
 	idx    int
 	offset int
 	cost   simtime.Duration
+	reason abortReason
 }
 
 // ctrlBytes approximates the size of one control struct on the wire.
@@ -636,7 +621,7 @@ func (e *Endpoint) Send(b *proc.Buffer, p Protocol) (int, error) {
 	case OneCopy:
 		return e.sendReliable(b, false)
 	case ZeroCopy:
-		return e.sendZeroCopy(b)
+		return e.sendRndv(b, nil, false)
 	case Remap:
 		return e.sendRemap(b)
 	default:
@@ -679,6 +664,13 @@ func (e *Endpoint) nextCtrl() (ctrlMsg, error) {
 // With reliability enabled it also services the recovery handshake and
 // discards retransmitted duplicates of already-delivered messages.
 func (e *Endpoint) Recv(b *proc.Buffer) (int, error) {
+	return e.recv(b, nil)
+}
+
+// recv is Recv with an optional caller-held RDMA-write registration of
+// the whole buffer (a persistent receive), which a rendezvous lands in
+// instead of registering per chunk.
+func (e *Endpoint) recv(b *proc.Buffer, held *vipl.MemRegion) (int, error) {
 	if e.peer == nil {
 		return 0, ErrNotPaired
 	}
@@ -717,19 +709,11 @@ func (e *Endpoint) Recv(b *proc.Buffer) (int, error) {
 			}
 			return n, err
 		case kRTS:
-			n, err := e.recvZeroCopy(b, m)
-			if errors.Is(err, errRndvAborted) {
-				// The pipelined rendezvous unwound after a chunk
-				// registration fault; the sender degrades to the one-copy
-				// path, whose announcement arrives next.  Keep receiving.
-				continue
-			}
-			return n, err
-		case kRemapRTS:
-			n, err := e.recvRemap(b, m)
-			if errors.Is(err, errRemapDegraded) {
-				// This side declined to stage frames; the sender degrades
-				// to the one-copy path, whose announcement arrives next.
+			n, err := e.rndvRecv(b, m, held)
+			if errors.Is(err, errRndvDegraded) {
+				// The rendezvous unwound before the payload was committed;
+				// the sender degrades to the one-copy path, whose
+				// announcement arrives next.  Keep receiving.
 				continue
 			}
 			return n, err
@@ -761,8 +745,7 @@ func (e *Endpoint) Recv(b *proc.Buffer) (int, error) {
 // reliability sequence number (0 when reliability is off).
 func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, error) {
 	size := b.Bytes
-	if eager && !e.opts.RDMAEager && size <= e.opts.InlineMax &&
-		size <= e.vi.NIC().InlineMax() {
+	if eager && !e.opts.RDMAEager && size <= e.vi.NIC().InlineMax() {
 		return e.sendInlineDesc(b, seq)
 	}
 	nchunks := (size + e.slotSize - 1) / e.slotSize
@@ -1014,262 +997,4 @@ func (e *Endpoint) flushReposts() error {
 		e.peerGrantCredit()
 	}
 	return nil
-}
-
-// errRndvAborted is the internal signal that a pipelined rendezvous was
-// unwound after a chunk registration fault.  The sender turns it into a
-// one-copy fallback; the receiver's Recv loop keeps receiving, expecting
-// that fallback's announcement.
-var errRndvAborted = errors.New("msg: pipelined rendezvous aborted")
-
-// sendZeroCopy implements the rendezvous.  With a non-negative pipeline
-// depth and a buffer spanning multiple chunks it runs the pipelined
-// protocol (sendPipelined); otherwise the legacy serialized form:
-// acquire the whole-buffer registration, RTS, wait for CTS carrying the
-// receiver's handle, one RDMA write, Fin.
-func (e *Endpoint) sendZeroCopy(b *proc.Buffer) (int, error) {
-	chunk := e.opts.PipelineChunk
-	nchunks := (b.Bytes + chunk - 1) / chunk
-	if e.opts.PipelineDepth < 0 || nchunks <= 1 {
-		reg, err := e.cache.Acquire(b, 0, b.Bytes, e.payloadAttrs(false), regcache.ClassUser)
-		if err != nil {
-			return 0, err
-		}
-		defer func() { _ = e.cache.Release(reg) }()
-		return e.sendZeroCopyReg(b, reg)
-	}
-	n, err := e.sendPipelined(b, chunk, nchunks)
-	if errors.Is(err, errRndvAborted) {
-		// A chunk registration faulted mid-pipeline (on either side) and
-		// both sides have unwound their chunk registrations.  Degrade to
-		// the one-copy path: it needs no receiver-side registration and
-		// rides the reliability layer's retries.
-		e.stats.PipelineFallbacks++
-		if obs := e.obs.Load(); obs != nil {
-			obs.event(trace.KindPipeFallback, uint64(b.Bytes), uint64(nchunks))
-		}
-		return e.sendReliable(b, false)
-	}
-	return n, err
-}
-
-// sendPipelined is the pipelined rendezvous send (DESIGN.md §9): the
-// buffer moves as nchunks chunks, and while chunk i's RDMA write is in
-// flight the receiver acquires chunk i+1's registration — the sender
-// acquires its own upon the grant.  The shared virtual clock is a
-// total-work meter, so the overlap is modelled explicitly: each side
-// rewinds by the cost the incoming control message reports (the work
-// the peer did "during" the same window), times its own work, and the
-// sender closes every window by charging the deficit up to
-// max(transfer, peer registration, own registration).  Trace spans
-// (KindChunkXfer / KindChunkReg) carry the rewound timestamps, so an
-// exported trace shows chunk i+1's registrations overlapping chunk i's
-// transfer.
-//
-// With PipelineDepth 1 the same chunked message flow runs strictly
-// serialized: no rewinds, no deficit — the ablation E19 compares
-// against.
-func (e *Endpoint) sendPipelined(b *proc.Buffer, chunk, nchunks int) (int, error) {
-	size := b.Bytes
-	overlap := e.opts.PipelineDepth >= 2
-	e.sendCtrl(ctrlMsg{kind: kRTS, size: size, nchunks: nchunks, chunk: chunk})
-
-	var (
-		reg      *vipl.MemRegion
-		sent     int
-		prevXfer simtime.Duration
-	)
-	defer func() {
-		if reg != nil {
-			_ = e.cache.Release(reg)
-		}
-	}()
-
-	for i := 0; i < nchunks; i++ {
-		g, err := e.awaitGrant(i)
-		if err != nil {
-			return sent, err
-		}
-		off := i * chunk
-		n := min(chunk, size-off)
-
-		// Overlap window: the receiver's registration (g.cost) and the
-		// previous chunk's transfer (prevXfer) were concurrent with the
-		// acquire below; rewind to the window start, do the acquire, then
-		// close the window at the maximum of the three costs.
-		if overlap {
-			e.meter.Retreat(g.cost)
-		}
-		obs, sp := e.chunkSpanBegin(trace.KindChunkReg, i, n)
-		sw := e.meter.Start()
-		creg, err := e.cache.Acquire(b, off, n, e.payloadAttrs(false), regcache.ClassUser)
-		regCost := sw.Elapsed()
-		e.chunkSpanEnd(obs, sp, trace.KindChunkReg, err == nil, i)
-		if err != nil {
-			e.sendCtrl(ctrlMsg{kind: kRndvAbort, idx: i})
-			return sent, fmt.Errorf("%w: chunk %d registration: %w", errRndvAborted, i, err)
-		}
-		if overlap {
-			if d := maxDur(prevXfer, g.cost, regCost) - regCost; d > 0 {
-				e.meter.Charge(d)
-			}
-		}
-		if reg != nil {
-			_ = e.cache.Release(reg)
-		}
-		reg = creg
-
-		obs, sp = e.chunkSpanBegin(trace.KindChunkXfer, i, n)
-		sw = e.meter.Start()
-		d := via.NewDescriptor(via.OpRDMAWrite, reg.Seg(0, n))
-		d.Remote = via.RemoteSegment{Handle: g.handle, Offset: g.offset}
-		if err := e.vi.PostSend(d); err != nil {
-			e.chunkSpanEnd(obs, sp, trace.KindChunkXfer, false, i)
-			return sent, err
-		}
-		if st := e.waitDesc(d); st != via.StatusSuccess {
-			e.chunkSpanEnd(obs, sp, trace.KindChunkXfer, false, i)
-			return sent, fmt.Errorf("%w: pipelined chunk %d/%d RDMA write failed: %v", ErrTransport, i, nchunks, st)
-		}
-		e.chunkSpanEnd(obs, sp, trace.KindChunkXfer, true, i)
-		sent += n
-		fin := ctrlMsg{kind: kChunkFin, idx: i, size: n}
-		if overlap {
-			prevXfer = sw.Elapsed()
-			fin.cost = prevXfer
-		}
-		e.sendCtrl(fin)
-	}
-	e.stats.SentMsgs++
-	e.stats.SentBytes += uint64(sent)
-	e.stats.ZeroCopies++
-	e.stats.PipelinedSends++
-	e.stats.PipelineChunks += uint64(nchunks)
-	if obs := e.obs.Load(); obs != nil {
-		obs.pipeline(nchunks)
-	}
-	return sent, nil
-}
-
-// awaitGrant waits for chunk idx's grant, recognizing a receiver-side
-// unwind.
-func (e *Endpoint) awaitGrant(idx int) (ctrlMsg, error) {
-	g := <-e.ctrl
-	switch g.kind {
-	case kChunkGrant:
-		if g.idx != idx {
-			return g, fmt.Errorf("msg: pipelined grant out of order: got %d, want %d", g.idx, idx)
-		}
-		return g, nil
-	case kRndvAbort:
-		return g, fmt.Errorf("%w: receiver unwound at chunk %d", errRndvAborted, g.idx)
-	default:
-		return g, fmt.Errorf("msg: expected chunk grant, got kind %d", g.kind)
-	}
-}
-
-// maxDur returns the largest of three durations.
-func maxDur(a, b, c simtime.Duration) simtime.Duration {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
-}
-
-// recvZeroCopy is the rendezvous receive.  An RTS carrying a chunk
-// count selects the pipelined protocol; the legacy form registers the
-// whole destination buffer (write-enabled), hands the handle to the
-// sender and waits for the Fin.
-func (e *Endpoint) recvZeroCopy(b *proc.Buffer, m ctrlMsg) (int, error) {
-	if m.size > b.Bytes {
-		if m.nchunks > 0 {
-			e.sendCtrl(ctrlMsg{kind: kRndvAbort})
-		}
-		return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, m.size, b.Bytes)
-	}
-	if m.nchunks > 0 {
-		return e.recvPipelined(b, m)
-	}
-	reg, err := e.cache.Acquire(b, 0, m.size, e.payloadAttrs(true), regcache.ClassUser)
-	if err != nil {
-		return 0, err
-	}
-	defer func() { _ = e.cache.Release(reg) }()
-	e.sendCtrl(ctrlMsg{kind: kCTS, handle: reg.Handle()})
-	fin := <-e.ctrl
-	if fin.kind != kFin {
-		return 0, fmt.Errorf("msg: expected Fin, got kind %d", fin.kind)
-	}
-	e.stats.RecvMsgs++
-	e.stats.RecvBytes += uint64(m.size)
-	return m.size, nil
-}
-
-// recvPipelined is the pipelined rendezvous receive: grant chunk 0,
-// then upon each chunk's fin acquire and grant the next one — rewinding
-// first by the transfer cost the fin reports, so the registration's
-// sim-time span overlaps the transfer it hid behind (the sender's
-// deficit charge closes each window; see sendPipelined).  At most two
-// chunk registrations are live at once.  A failed acquire unwinds: the
-// sender is told to degrade (kRndvAbort) and errRndvAborted tells
-// Recv's loop to keep receiving.
-func (e *Endpoint) recvPipelined(b *proc.Buffer, m ctrlMsg) (int, error) {
-	size, chunk, nchunks := m.size, m.chunk, m.nchunks
-
-	grant := func(idx int, prevCost simtime.Duration) (*vipl.MemRegion, error) {
-		e.meter.Retreat(prevCost)
-		off := idx * chunk
-		n := min(chunk, size-off)
-		obs, sp := e.chunkSpanBegin(trace.KindChunkReg, idx, n)
-		sw := e.meter.Start()
-		r, err := e.cache.Acquire(b, off, n, e.payloadAttrs(true), regcache.ClassUser)
-		cost := sw.Elapsed()
-		e.chunkSpanEnd(obs, sp, trace.KindChunkReg, err == nil, idx)
-		if err != nil {
-			e.sendCtrl(ctrlMsg{kind: kRndvAbort, idx: idx})
-			return nil, fmt.Errorf("%w: chunk %d registration: %w", errRndvAborted, idx, err)
-		}
-		e.sendCtrl(ctrlMsg{kind: kChunkGrant, idx: idx, handle: r.Handle(), cost: cost})
-		return r, nil
-	}
-
-	held, err := grant(0, 0)
-	if err != nil {
-		return 0, err
-	}
-	got := 0
-	for i := 0; i < nchunks; i++ {
-		fin := <-e.ctrl
-		switch fin.kind {
-		case kChunkFin:
-			if fin.idx != i {
-				_ = e.cache.Release(held)
-				return got, fmt.Errorf("msg: pipelined fin out of order: got %d, want %d", fin.idx, i)
-			}
-		case kRndvAbort:
-			_ = e.cache.Release(held)
-			return got, fmt.Errorf("%w: sender unwound at chunk %d", errRndvAborted, fin.idx)
-		default:
-			_ = e.cache.Release(held)
-			return got, fmt.Errorf("msg: expected chunk fin, got kind %d", fin.kind)
-		}
-		got += fin.size
-		if i+1 < nchunks {
-			next, err := grant(i+1, fin.cost)
-			if err != nil {
-				_ = e.cache.Release(held)
-				return got, err
-			}
-			_ = e.cache.Release(held)
-			held = next
-		} else {
-			_ = e.cache.Release(held)
-		}
-	}
-	e.stats.RecvMsgs++
-	e.stats.RecvBytes += uint64(got)
-	return got, nil
 }

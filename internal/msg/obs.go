@@ -63,8 +63,13 @@ func (e *Endpoint) AttachObs(trc *trace.Tracer, reg *metrics.Registry) {
 }
 
 // event emits a reliability trace instant and bumps the matching
-// counter.  Arg conventions follow trace.Kind's documentation.
+// counter.  Arg conventions follow trace.Kind's documentation.  Like
+// pipeline it is a no-op on a nil (detached) observer, so call sites
+// are a bare e.obs.Load().event(...).
 func (o *epObs) event(k trace.Kind, a1, a2 uint64) {
+	if o == nil {
+		return
+	}
 	switch k {
 	case trace.KindRetry:
 		o.retries.Inc()
@@ -90,8 +95,12 @@ func (o *epObs) event(k trace.Kind, a1, a2 uint64) {
 	o.trc.Instant(k, a1, a2)
 }
 
-// pipeline records one completed pipelined rendezvous send.
+// pipeline records one completed rendezvous send over registered
+// buffers and the grants it moved.
 func (o *epObs) pipeline(nchunks int) {
+	if o == nil {
+		return
+	}
 	o.pipeSends.Inc()
 	o.pipeChunks.Add(uint64(nchunks))
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/via"
 )
 
 // TestChooseBoundaries pins the Auto protocol switch points at their
@@ -51,13 +50,11 @@ func TestOptionsChooseCustom(t *testing.T) {
 }
 
 // TestOptionsWithDefaults checks zero fields pick up the package
-// defaults while set fields — including the negative legacy pipeline
-// depth, which must not be mistaken for "unset" — survive.
+// defaults while set fields survive.
 func TestOptionsWithDefaults(t *testing.T) {
 	d := Options{}.withDefaults()
 	want := Options{
 		EagerMax:      EagerMax,
-		InlineMax:     via.MaxInlineData,
 		OneCopyMax:    OneCopyMax,
 		PipelineDepth: DefaultPipelineDepth,
 		PipelineChunk: DefaultPipelineChunk,
@@ -67,15 +64,10 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if d != want {
 		t.Errorf("Options{}.withDefaults() = %+v, want %+v", d, want)
 	}
-	set := Options{EagerMax: 1, InlineMax: 64, OneCopyMax: 2, PipelineDepth: -1,
+	set := Options{EagerMax: 1, OneCopyMax: 2, PipelineDepth: 1,
 		PipelineChunk: 4096, RingSlots: 2, SlotBytes: 4096}
 	if got := set.withDefaults(); got != set {
 		t.Errorf("withDefaults clobbered set fields: %+v → %+v", set, got)
-	}
-	// A negative InlineMax means "no inline fast path", normalized to 0
-	// so the size comparison in sendInline is a plain <=.
-	if got := (Options{InlineMax: -1}).withDefaults().InlineMax; got != 0 {
-		t.Errorf("InlineMax -1 normalized to %d, want 0", got)
 	}
 }
 
@@ -103,32 +95,28 @@ func TestEndpointOptionsSteerAuto(t *testing.T) {
 	}
 }
 
-// TestEndpointOptionsLegacyDepth checks PipelineDepth < 0 restores the
-// serialized whole-buffer rendezvous: zero-copy sends succeed and no
-// pipelined-send stats move.
-func TestEndpointOptionsLegacyDepth(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0, Options{PipelineDepth: -1})
-	c.transfer(t, 256*1024, ZeroCopy, 3)
-	st := c.epA.Stats()
-	if st.ZeroCopies != 1 {
-		t.Errorf("zero-copy sends = %d, want 1", st.ZeroCopies)
-	}
-	if st.PipelinedSends != 0 || st.PipelineChunks != 0 {
-		t.Errorf("legacy depth ran the pipeline: %d sends, %d chunks",
-			st.PipelinedSends, st.PipelineChunks)
-	}
-}
-
 // TestEndpointOptionsPipelineChunk checks a custom chunk size drives
-// the chunk count.
+// the chunk count, down to the single grant of a chunk that covers the
+// whole message.
 func TestEndpointOptionsPipelineChunk(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0, Options{PipelineChunk: 32 * 1024})
-	c.transfer(t, 256*1024, ZeroCopy, 4)
-	st := c.epA.Stats()
-	if st.PipelinedSends != 1 {
-		t.Fatalf("pipelined sends = %d, want 1", st.PipelinedSends)
-	}
-	if st.PipelineChunks != 8 {
-		t.Errorf("pipeline chunks = %d, want 8 (256 KiB / 32 KiB)", st.PipelineChunks)
+	for _, tc := range []struct{ chunk, want int }{
+		{32 * 1024, 8},
+		{256 * 1024, 1},
+		{1 << 20, 1},
+	} {
+		c := newCluster(t, core.StrategyKiobuf, 0, Options{PipelineChunk: tc.chunk})
+		c.transfer(t, 256*1024, ZeroCopy, 4)
+		st := c.epA.Stats()
+		if st.ZeroCopies != 1 || st.PipelinedSends != 1 {
+			t.Fatalf("chunk %d: zero-copy sends = %d, pipelined = %d, want 1 and 1",
+				tc.chunk, st.ZeroCopies, st.PipelinedSends)
+		}
+		if st.PipelineChunks != uint64(tc.want) {
+			t.Errorf("chunk %d: pipeline chunks = %d, want %d", tc.chunk, st.PipelineChunks, tc.want)
+		}
+		// One registration per grant on each side.
+		if m := c.epB.Cache().Stats().Misses; m != uint64(tc.want) {
+			t.Errorf("chunk %d: receiver registrations = %d, want %d", tc.chunk, m, tc.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package msg
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/proc"
 	"repro/internal/regcache"
@@ -20,26 +19,45 @@ import (
 // ErrFreed reports a Start on a freed persistent request.
 var ErrFreed = errors.New("msg: persistent request freed")
 
-// PersistentSend is a reusable zero-copy send request over one buffer.
-type PersistentSend struct {
+// persistent is the held registration both request kinds are built on.
+type persistent struct {
 	ep  *Endpoint
 	buf *proc.Buffer
 	reg *vipl.MemRegion
 }
 
-// SendInit registers the buffer once and returns the reusable request.
-func (e *Endpoint) SendInit(b *proc.Buffer) (*PersistentSend, error) {
+// initPersistent registers the whole buffer once, class persistent.
+func (e *Endpoint) initPersistent(b *proc.Buffer, rdmaWrite bool) (persistent, error) {
 	if e.peer == nil {
-		return nil, ErrNotPaired
+		return persistent{}, ErrNotPaired
 	}
 	if b.Bytes <= 0 {
-		return nil, ErrEmptyMessage
+		return persistent{}, ErrEmptyMessage
 	}
-	reg, err := e.cache.Acquire(b, 0, b.Bytes, via.MemAttrs{}, regcache.ClassPersistent)
+	reg, err := e.cache.Acquire(b, 0, b.Bytes, via.MemAttrs{EnableRDMAWrite: rdmaWrite}, regcache.ClassPersistent)
+	return persistent{ep: e, buf: b, reg: reg}, err
+}
+
+// Free releases the held registration back to the cache.
+func (p *persistent) Free() error {
+	if p.reg == nil {
+		return ErrFreed
+	}
+	reg := p.reg
+	p.reg = nil
+	return p.ep.cache.Release(reg)
+}
+
+// PersistentSend is a reusable zero-copy send request over one buffer.
+type PersistentSend struct{ persistent }
+
+// SendInit registers the buffer once and returns the reusable request.
+func (e *Endpoint) SendInit(b *proc.Buffer) (*PersistentSend, error) {
+	p, err := e.initPersistent(b, false)
 	if err != nil {
 		return nil, err
 	}
-	return &PersistentSend{ep: e, buf: b, reg: reg}, nil
+	return &PersistentSend{p}, nil
 }
 
 // Start performs one zero-copy send of the whole buffer using the held
@@ -48,114 +66,27 @@ func (p *PersistentSend) Start() (int, error) {
 	if p.reg == nil {
 		return 0, ErrFreed
 	}
-	return p.ep.sendZeroCopyReg(p.buf, p.reg)
-}
-
-// Free releases the held registration back to the cache.
-func (p *PersistentSend) Free() error {
-	if p.reg == nil {
-		return ErrFreed
-	}
-	reg := p.reg
-	p.reg = nil
-	return p.ep.cache.Release(reg)
+	return p.ep.sendRndv(p.buf, p.reg, false)
 }
 
 // PersistentRecv is a reusable zero-copy receive request.
-type PersistentRecv struct {
-	ep  *Endpoint
-	buf *proc.Buffer
-	reg *vipl.MemRegion
-}
+type PersistentRecv struct{ persistent }
 
 // RecvInit registers the buffer (RDMA-write enabled) once.
 func (e *Endpoint) RecvInit(b *proc.Buffer) (*PersistentRecv, error) {
-	if e.peer == nil {
-		return nil, ErrNotPaired
-	}
-	if b.Bytes <= 0 {
-		return nil, ErrEmptyMessage
-	}
-	reg, err := e.cache.Acquire(b, 0, b.Bytes, via.MemAttrs{EnableRDMAWrite: true}, regcache.ClassPersistent)
+	p, err := e.initPersistent(b, true)
 	if err != nil {
 		return nil, err
 	}
-	return &PersistentRecv{ep: e, buf: b, reg: reg}, nil
+	return &PersistentRecv{p}, nil
 }
 
-// Start receives one zero-copy message into the held buffer.  The
-// incoming message must be a zero-copy rendezvous (the sender must use
-// ZeroCopy or a persistent send).
+// Start receives one message into the held buffer.  A rendezvous
+// (ZeroCopy, Remap or a persistent send) lands in the held registration;
+// anything else is received as Recv would.
 func (p *PersistentRecv) Start() (int, error) {
 	if p.reg == nil {
 		return 0, ErrFreed
 	}
-	e := p.ep
-	m := <-e.ctrl
-	if m.kind != kRTS {
-		return 0, fmt.Errorf("msg: persistent recv expected RTS, got kind %d", m.kind)
-	}
-	if m.size > p.buf.Bytes {
-		return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, m.size, p.buf.Bytes)
-	}
-	if m.nchunks > 0 {
-		// Pipelined sender: grant each chunk a window of the held
-		// whole-buffer registration.  The grants cost nothing (the
-		// registration is persistent), so the reported overlap cost is
-		// zero and the sender's own per-chunk acquires pace the pipeline.
-		for i := 0; i < m.nchunks; i++ {
-			e.sendCtrl(ctrlMsg{kind: kChunkGrant, idx: i, handle: p.reg.Handle(), offset: i * m.chunk})
-			fin := <-e.ctrl
-			switch {
-			case fin.kind == kRndvAbort:
-				return 0, fmt.Errorf("msg: persistent recv: sender unwound pipelined rendezvous at chunk %d", fin.idx)
-			case fin.kind != kChunkFin || fin.idx != i:
-				return 0, fmt.Errorf("msg: persistent recv expected chunk fin %d, got kind %d", i, fin.kind)
-			}
-		}
-		e.stats.RecvMsgs++
-		e.stats.RecvBytes += uint64(m.size)
-		return m.size, nil
-	}
-	e.sendCtrl(ctrlMsg{kind: kCTS, handle: p.reg.Handle()})
-	fin := <-e.ctrl
-	if fin.kind != kFin {
-		return 0, fmt.Errorf("msg: persistent recv expected Fin, got kind %d", fin.kind)
-	}
-	e.stats.RecvMsgs++
-	e.stats.RecvBytes += uint64(m.size)
-	return m.size, nil
-}
-
-// Free releases the held registration.
-func (p *PersistentRecv) Free() error {
-	if p.reg == nil {
-		return ErrFreed
-	}
-	reg := p.reg
-	p.reg = nil
-	return p.ep.cache.Release(reg)
-}
-
-// sendZeroCopyReg is the rendezvous send over a caller-held region.
-func (e *Endpoint) sendZeroCopyReg(b *proc.Buffer, reg *vipl.MemRegion) (int, error) {
-	size := b.Bytes
-	e.sendCtrl(ctrlMsg{kind: kRTS, size: size})
-	cts := <-e.ctrl
-	if cts.kind != kCTS {
-		return 0, fmt.Errorf("msg: expected CTS, got kind %d", cts.kind)
-	}
-	d := via.NewDescriptor(via.OpRDMAWrite, reg.Seg(0, size))
-	d.Remote = via.RemoteSegment{Handle: cts.handle, Offset: 0}
-	if err := e.vi.PostSend(d); err != nil {
-		return 0, err
-	}
-	if st := e.waitDesc(d); st != via.StatusSuccess {
-		return 0, fmt.Errorf("msg: RDMA write failed: %v", st)
-	}
-	e.sendCtrl(ctrlMsg{kind: kFin, size: size})
-	e.stats.SentMsgs++
-	e.stats.SentBytes += uint64(size)
-	e.stats.ZeroCopies++
-	return size, nil
+	return p.ep.recv(p.buf, p.reg)
 }

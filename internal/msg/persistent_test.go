@@ -90,8 +90,11 @@ func TestPersistentInitValidation(t *testing.T) {
 	}
 }
 
+// TestPersistentRecvInteroperatesWithPlainSend pairs a pipelined
+// ZeroCopy sender with a persistent receiver: the held-region source on
+// the receive side alone.  Every chunk grant is a window of the one
+// held registration, so the receiver registers nothing beyond RecvInit.
 func TestPersistentRecvInteroperatesWithPlainSend(t *testing.T) {
-	// A plain ZeroCopy send pairs fine with a persistent receive.
 	c := newCluster(t, core.StrategyKiobuf, 0)
 	const size = 256 * 1024
 	src, _ := c.procA.Malloc(size)
@@ -103,20 +106,53 @@ func TestPersistentRecvInteroperatesWithPlainSend(t *testing.T) {
 	if err := src.FillPattern(7); err != nil {
 		t.Fatal(err)
 	}
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.epA.Send(src, ZeroCopy)
-		errc <- err
-	}()
-	if _, err := pr.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	send := func() (int, error) { return c.epA.Send(src, ZeroCopy) }
+	if serr, rerr := exchange(t, send, pr.Start); serr != nil || rerr != nil {
+		t.Fatalf("send: %v, recv: %v", serr, rerr)
 	}
 	bad, err := dst.VerifyPattern(7)
 	if err != nil || len(bad) != 0 {
 		t.Fatalf("bad=%v err=%v", bad, err)
+	}
+	if got, want := c.epA.Stats().PipelineChunks, uint64(size/DefaultPipelineChunk); got != want {
+		t.Errorf("sender moved %d chunks, want %d", got, want)
+	}
+	if st := c.epB.Cache().Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("receiver cache %+v, want the RecvInit miss and nothing else", st)
+	}
+}
+
+// TestPersistentSendInteroperatesWithPlainRecv is the mirror image: a
+// persistent sender's held region against a plain Recv, which registers
+// its buffer through the cache.  The send is a single grant.
+func TestPersistentSendInteroperatesWithPlainRecv(t *testing.T) {
+	c := newCluster(t, core.StrategyKiobuf, 0)
+	const size = 256 * 1024
+	src, _ := c.procA.Malloc(size)
+	dst, _ := c.procB.Malloc(size)
+	ps, err := c.epA.SendInit(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.FillPattern(9); err != nil {
+		t.Fatal(err)
+	}
+	recv := func() (int, error) { return c.epB.Recv(dst) }
+	if serr, rerr := exchange(t, ps.Start, recv); serr != nil || rerr != nil {
+		t.Fatalf("send: %v, recv: %v", serr, rerr)
+	}
+	bad, err := dst.VerifyPattern(9)
+	if err != nil || len(bad) != 0 {
+		t.Fatalf("bad=%v err=%v", bad, err)
+	}
+	if st := c.epA.Stats(); st.ZeroCopies != 1 || st.PipelineChunks != 1 {
+		t.Errorf("sender stats %+v, want one zero-copy send of one grant", st)
+	}
+	if st := c.epA.Cache().Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("sender cache %+v, want the SendInit miss and nothing else", st)
+	}
+	if m := c.epB.Cache().Stats().Misses; m != 1 {
+		t.Errorf("receiver registered %d regions, want 1 (one grant)", m)
 	}
 }
 

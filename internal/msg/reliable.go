@@ -14,13 +14,13 @@
 // gracefully: it tells the receiver to stop waiting (kAbort) and
 // returns ErrRetriesExhausted.
 //
-// Scope: the inline protocols (eager and one-copy).  The zero-copy
-// rendezvous is not retried — its RDMA completion carries no receiver
-// acknowledgement, so a transparent retransmit could not be
-// deduplicated; transport failures surface to the caller.  A chunk
-// *registration* fault inside the pipelined rendezvous, however, is
-// handled before any data moves for that chunk: both sides unwind and
-// the sender degrades to the one-copy path, which does get retried.
+// Scope: the inline protocols (eager and one-copy).  The rendezvous is
+// not retried — its RDMA completion carries no receiver acknowledgement,
+// so a transparent retransmit could not be deduplicated; transport
+// failures surface to the caller.  A *registration* fault inside the
+// rendezvous, however, is handled before any data moves for that chunk:
+// both sides unwind and the sender degrades to the one-copy path, which
+// does get retried (rendezvous.go, abortReason).
 package msg
 
 import (
@@ -170,15 +170,11 @@ func (e *Endpoint) sendReliable(b *proc.Buffer, eager bool) (int, error) {
 	for attempt := 0; attempt <= e.rel.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			e.rel.stats.Retries++
-			if obs := e.obs.Load(); obs != nil {
-				obs.event(trace.KindRetry, seq, uint64(attempt))
-			}
+			e.obs.Load().event(trace.KindRetry, seq, uint64(attempt))
 			e.sleepBackoff(attempt - 1)
 			if err := e.recoverSender(); err != nil {
 				e.rel.stats.Aborts++
-				if obs := e.obs.Load(); obs != nil {
-					obs.event(trace.KindAbort, seq, uint64(attempt))
-				}
+				e.obs.Load().event(trace.KindAbort, seq, uint64(attempt))
 				e.sendCtrl(ctrlMsg{kind: kAbort})
 				return 0, fmt.Errorf("msg: connection recovery failed: %w", err)
 			}
@@ -197,17 +193,13 @@ func (e *Endpoint) sendReliable(b *proc.Buffer, eager bool) (int, error) {
 			// retransmit, no handshake.  (The VI pair is still in the
 			// error state; the next send recovers it.)
 			e.rel.stats.AckRescues++
-			if obs := e.obs.Load(); obs != nil {
-				obs.event(trace.KindAckRescue, seq, uint64(b.Bytes))
-			}
+			e.obs.Load().event(trace.KindAckRescue, seq, uint64(b.Bytes))
 			return b.Bytes, nil
 		}
 		lastErr = err
 	}
 	e.rel.stats.Aborts++
-	if obs := e.obs.Load(); obs != nil {
-		obs.event(trace.KindAbort, seq, uint64(e.rel.cfg.MaxRetries+1))
-	}
+	e.obs.Load().event(trace.KindAbort, seq, uint64(e.rel.cfg.MaxRetries+1))
 	e.sendCtrl(ctrlMsg{kind: kAbort})
 	return 0, fmt.Errorf("%w after %d attempts: %v", ErrRetriesExhausted, e.rel.cfg.MaxRetries+1, lastErr)
 }
@@ -417,9 +409,7 @@ func (e *Endpoint) recoverSender() error {
 	}
 	e.sendCtrl(ctrlMsg{kind: kRingRepost})
 	e.rel.stats.Recoveries++
-	if obs := e.obs.Load(); obs != nil {
-		obs.event(trace.KindRecovery, e.nextSeq, 0)
-	}
+	e.obs.Load().event(trace.KindRecovery, e.nextSeq, 0)
 	return nil
 }
 
@@ -457,9 +447,7 @@ func (e *Endpoint) handlePeerReset() error {
 // the sender's completion was lost.
 func (e *Endpoint) drainDuplicate(m ctrlMsg) error {
 	e.rel.stats.Duplicates++
-	if obs := e.obs.Load(); obs != nil {
-		obs.event(trace.KindDuplicate, m.seq, uint64(m.nchunks))
-	}
+	e.obs.Load().event(trace.KindDuplicate, m.seq, uint64(m.nchunks))
 	return e.drainSlots(m.nchunks)
 }
 

@@ -9,23 +9,17 @@
 // copy per page.
 //
 // Degradation rules: payloads under one page, and any send the receiver
-// declines (kRemapNak: no staging memory, no TPT room, an injected
-// registration fault), fall back to the reliable one-copy path — still
-// under the write guard, so the ownership semantics hold either way.
-// An unaligned tail shorter than a page is scatter-copied from the last
-// staged frame.
+// declines (no staging memory, no TPT room, an injected registration
+// fault), fall back to the reliable one-copy path — still under the write
+// guard, so the ownership semantics hold either way.  An unaligned tail
+// shorter than a page is scatter-copied from the last staged frame.
 //
-// The remap data phase sits OUTSIDE the reliability domain (like the
-// rendezvous and the stripe rails — DESIGN.md §13): a failed RDMA write
-// surfaces as a typed ErrTransport on the sender and an ErrTransport
-// ("peer aborted") on the receiver, never a retransmit.  The one-copy
-// fallback, by contrast, rides the reliability layer as usual.
+// The wire exchange is the rendezvous engine's (rendezvous.go): this
+// file holds only what is particular to ownership transfer — the
+// sender's guard window and the receiver's staging-frame region source.
 package msg
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/mm"
 	"repro/internal/pgtable"
 	"repro/internal/phys"
@@ -33,12 +27,8 @@ import (
 	"repro/internal/regcache"
 	"repro/internal/trace"
 	"repro/internal/via"
+	"repro/internal/vipl"
 )
-
-// errRemapDegraded is the internal signal that the receiver declined a
-// remap grant; the sender degrades to one-copy and Recv's loop keeps
-// receiving, expecting that fallback's announcement.
-var errRemapDegraded = errors.New("msg: remap receive degraded")
 
 // sendRemap is the ownership-transfer send.
 func (e *Endpoint) sendRemap(b *proc.Buffer) (int, error) {
@@ -63,9 +53,7 @@ func (e *Endpoint) sendRemap(b *proc.Buffer) (int, error) {
 		// Runs under the kernel lock on the faulting goroutine: count
 		// and trace, nothing that re-enters the kernel.
 		e.scribbles.Add(1)
-		if obs := e.obs.Load(); obs != nil {
-			obs.event(trace.KindScribbleDetected, uint64(page), uint64(size))
-		}
+		e.obs.Load().event(trace.KindScribbleDetected, uint64(page), uint64(size))
 	})
 	if err != nil {
 		return 0, err
@@ -79,111 +67,55 @@ func (e *Endpoint) sendRemap(b *proc.Buffer) (int, error) {
 		return e.sendReliable(b, false)
 	}
 
-	e.sendCtrl(ctrlMsg{kind: kRemapRTS, size: size})
-	g := <-e.ctrl
-	switch g.kind {
-	case kRemapGrant:
-	case kRemapNak:
-		e.stats.RemapFallbacks++
-		if obs := e.obs.Load(); obs != nil {
-			obs.event(trace.KindRemapFallback, uint64(size), 0)
-		}
-		return e.sendReliable(b, false)
-	default:
-		return 0, fmt.Errorf("msg: expected remap grant, got kind %d", g.kind)
-	}
-
-	// The data phase honors the VI's per-descriptor bound: payloads
-	// larger than MaxTransferSize move as a train of page-aligned RDMA
-	// writes into the granted staging region.  Still one guard window,
-	// one grant, one fin — and still outside the reliability domain:
-	// the first failed chunk aborts the whole transfer, never retries.
-	chunk := e.vi.MaxTransferSize()
-	chunk -= chunk % phys.PageSize
-	for off := 0; off < size; off += chunk {
-		n := size - off
-		if n > chunk {
-			n = chunk
-		}
-		d := via.NewDescriptor(via.OpRDMAWrite, reg.Seg(off, n))
-		d.Remote = via.RemoteSegment{Handle: g.handle, Offset: off}
-		if err := e.vi.PostSend(d); err != nil {
-			e.sendCtrl(ctrlMsg{kind: kRemapAbort})
-			return 0, fmt.Errorf("%w: remap post: %w", ErrTransport, err)
-		}
-		if st := e.waitDesc(d); st != via.StatusSuccess {
-			// Tell the receiver to release its staging and surface the
-			// failure typed.
-			e.sendCtrl(ctrlMsg{kind: kRemapAbort})
-			return 0, fmt.Errorf("%w: remap RDMA write failed: %v", ErrTransport, st)
-		}
-	}
-	e.sendCtrl(ctrlMsg{kind: kRemapFin, size: size})
-	e.stats.SentMsgs++
-	e.stats.SentBytes += uint64(size)
-	e.stats.RemapSends++
-	if obs := e.obs.Load(); obs != nil {
-		obs.event(trace.KindRemapSend, uint64(size), uint64(b.Pages()))
-	}
-	return size, nil
+	return e.sendRndv(b, reg, true)
 }
 
-// recvRemap is the frame-exchange receive: donate staging frames, grant
-// them to the sender as a TPT region, and once the payload lands adopt
-// every full frame into the destination buffer's page table.  The
-// unaligned tail (if any) is the scatter fallback: one copy out of the
-// last staged frame.
-func (e *Endpoint) recvRemap(b *proc.Buffer, m ctrlMsg) (int, error) {
+// staging is the remap receiver's region source: kernel-donated frames,
+// outside any address space, registered as one RDMA-write target.
+type staging struct {
+	pfns []phys.PFN
+	reg  *vipl.MemRegion
+}
+
+// stageFrames donates and registers enough frames to land size bytes.
+// A failure leaves nothing held; the caller declines the transfer.
+func (e *Endpoint) stageFrames(size int) (staging, error) {
 	kern := e.nic.Process().Kernel()
-	as := e.nic.Process().AS()
-	if m.size > b.Bytes {
-		// Decline so the sender is not left waiting; the one-copy
-		// fallback announcement then reports the same ErrTooSmall
-		// taxonomy the other protocols produce.
-		e.sendCtrl(ctrlMsg{kind: kRemapNak})
-		return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, m.size, b.Bytes)
-	}
-	nak := func() (int, error) {
-		e.sendCtrl(ctrlMsg{kind: kRemapNak})
-		return 0, errRemapDegraded
-	}
-	nfull := m.size / phys.PageSize
-	tail := m.size - nfull*phys.PageSize
-	if nfull == 0 {
-		// The sender degrades sub-page messages itself; decline if one
-		// slips through anyway.
-		return nak()
-	}
-	nstage := nfull
-	if tail > 0 {
-		nstage++
-	}
-	pfns, err := kern.DonateFrames(nstage)
+	pfns, err := kern.DonateFrames((size + phys.PageSize - 1) / phys.PageSize)
 	if err != nil {
-		return nak()
+		return staging{}, err
 	}
-	addrs := make([]phys.Addr, nstage)
+	addrs := make([]phys.Addr, len(pfns))
 	for i, p := range pfns {
 		addrs[i] = p.Addr()
 	}
-	sreg, err := e.nic.RegisterFrames(addrs, m.size, via.MemAttrs{EnableRDMAWrite: true})
+	reg, err := e.nic.RegisterFrames(addrs, size, via.MemAttrs{EnableRDMAWrite: true})
 	if err != nil {
 		_ = kern.ReleaseDonated(pfns)
-		return nak()
+		return staging{}, err
 	}
-	e.sendCtrl(ctrlMsg{kind: kRemapGrant, handle: sreg.Handle()})
-	fin := <-e.ctrl
-	if fin.kind != kRemapFin {
-		_ = e.nic.DeregisterMem(sreg)
-		_ = kern.ReleaseDonated(pfns)
-		if fin.kind == kRemapAbort {
-			return 0, fmt.Errorf("%w: peer aborted remap transfer", ErrTransport)
-		}
-		return 0, fmt.Errorf("msg: expected remap fin, got kind %d", fin.kind)
-	}
+	return staging{pfns: pfns, reg: reg}, nil
+}
+
+// unstage returns an aborted transfer's staging to the kernel.
+func (e *Endpoint) unstage(s staging) {
+	_ = e.nic.DeregisterMem(s.reg)
+	_ = e.nic.Process().Kernel().ReleaseDonated(s.pfns)
+}
+
+// adoptStaged delivers a landed payload by frame exchange: every full
+// staged frame is adopted into the destination buffer's page table, and
+// the unaligned tail (if any) is the scatter fallback — one copy out of
+// the last staged frame.
+func (e *Endpoint) adoptStaged(b *proc.Buffer, s staging, size int) (int, error) {
+	kern := e.nic.Process().Kernel()
+	as := e.nic.Process().AS()
+	pfns := s.pfns
+	nfull := size / phys.PageSize
+	tail := size - nfull*phys.PageSize
 	// The staged frames must leave the TPT before they can belong to the
 	// application.
-	if err := e.nic.DeregisterMem(sreg); err != nil {
+	if err := e.nic.DeregisterMem(s.reg); err != nil {
 		_ = kern.ReleaseDonated(pfns)
 		return 0, err
 	}
@@ -194,8 +126,7 @@ func (e *Endpoint) recvRemap(b *proc.Buffer, m ctrlMsg) (int, error) {
 		}
 	}
 	if tail > 0 {
-		// Scatter fallback for the unaligned tail: one copy out of the
-		// last staged frame, which is then returned to the free list.
+		// The tail's frame returns to the free list once copied out.
 		tmp := make([]byte, tail)
 		if err := kern.Phys().ReadPhys(pfns[nfull].Addr(), tmp); err != nil {
 			_ = kern.ReleaseDonated(pfns[nfull:])
@@ -207,16 +138,12 @@ func (e *Endpoint) recvRemap(b *proc.Buffer, m ctrlMsg) (int, error) {
 		}
 		e.meter.Charge(e.meter.Costs.PageCopy)
 		if err := kern.ReleaseDonated(pfns[nfull:]); err != nil {
-			return m.size, err
+			return size, err
 		}
 	}
-	e.stats.RecvMsgs++
-	e.stats.RecvBytes += uint64(m.size)
 	e.stats.RemapRecvs++
 	e.stats.RemapPages += uint64(nfull)
 	e.stats.RemapTailBytes += uint64(tail)
-	if obs := e.obs.Load(); obs != nil {
-		obs.event(trace.KindRemapRecv, uint64(m.size), uint64(nfull))
-	}
-	return m.size, nil
+	e.obs.Load().event(trace.KindRemapRecv, uint64(size), uint64(nfull))
+	return size, nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/kagent"
 	"repro/internal/mm"
 	"repro/internal/phys"
-	"repro/internal/via"
 )
 
 func TestRemapAligned(t *testing.T) {
@@ -79,12 +78,12 @@ func TestRemapTooSmallDst(t *testing.T) {
 	if !errors.Is(err, ErrTooSmall) {
 		t.Fatalf("recv: %v, want ErrTooSmall", err)
 	}
-	// Same taxonomy as every other protocol: the mismatch is the
-	// receiver's error, the sender's transfer degrades and completes.
-	if err := <-errc; err != nil {
-		t.Fatalf("send: %v, want success (degraded one-copy)", err)
+	// The receiver refuses before staging anything and no fallback could
+	// fit either, so the sender is told to stop rather than degrade.
+	if err := <-errc; !errors.Is(err, ErrPeerAborted) {
+		t.Fatalf("send: %v, want ErrPeerAborted", err)
 	}
-	// The declined grant released its staging frames.
+	// Nothing was donated, nothing leaked.
 	if n := c.kernelB.OrphanFrames(); n != 0 {
 		t.Fatalf("declined transfer leaked %d frames", n)
 	}
@@ -290,55 +289,6 @@ func TestRemapFrameAccounting(t *testing.T) {
 	}
 	if got := c.kernelB.FreePages(); got != freeBefore {
 		t.Fatalf("receiver free pages %d, want %d", got, freeBefore)
-	}
-}
-
-// TestRemapOutsideReliability pins the reliability-domain boundary
-// (DESIGN.md §13): the remap data phase is NOT retried.  A link that
-// dies under the RDMA write surfaces as a typed ErrTransport on the
-// sender and a typed abort on the receiver — no retransmission, no
-// partial delivery counted as success.  (The stripe analogue is
-// TestStripeAllRailsDown.)
-func TestRemapOutsideReliability(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0)
-	size := 32 * phys.PageSize
-	// Fail the one DMA large enough to be the remap data phase; control
-	// messages and ring traffic stay up.
-	inj := faultinject.New(7)
-	inj.FailWhen(via.SiteDMA, func(op faultinject.Op) bool { return op.N >= size }, via.ErrLinkDown)
-	c.nicA.SetFaultInjector(inj)
-
-	src, _ := c.procA.Malloc(size)
-	dst, _ := c.procB.Malloc(size)
-	if err := src.FillPattern(21); err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.epA.Send(src, Remap)
-		errc <- err
-	}()
-	_, rerr := c.epB.Recv(dst)
-	serr := <-errc
-	if !errors.Is(serr, ErrTransport) {
-		t.Fatalf("sender error %v, want ErrTransport", serr)
-	}
-	if !errors.Is(rerr, ErrTransport) {
-		t.Fatalf("receiver error %v, want ErrTransport", rerr)
-	}
-	if s := c.epA.Stats(); s.SentMsgs != 0 || s.RemapSends != 0 {
-		t.Fatalf("failed transfer counted as sent: %+v", s)
-	}
-	// The receiver released its staging; nothing leaked.
-	if n := c.kernelB.OrphanFrames(); n != 0 {
-		t.Fatalf("aborted transfer leaked %d frames", n)
-	}
-	if err := c.kernelB.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The guard came off: the sender's buffer is writable again.
-	if err := src.Write(0, []byte{1}); err != nil {
-		t.Fatalf("sender buffer still guarded after failed send: %v", err)
 	}
 }
 
