@@ -817,9 +817,9 @@ func Chaos(w io.Writer) error {
 		return fmt.Errorf("chaos class %q: %w", r.class, err)
 	}
 	addChaosRow(&t, r)
-	// The small-message class: inline batches and coalesced doorbells
-	// with lane/link faults landing mid-batch — exactly-once completion
-	// per descriptor is the contract.
+	// The small-message class: inline batches and singles with
+	// lane/link faults landing mid-burst — exactly-once completion per
+	// descriptor is the contract.
 	r, err = chaosBatch()
 	if err != nil {
 		return fmt.Errorf("chaos class %q: %w", r.class, err)

@@ -2,17 +2,18 @@ package bench
 
 // The E17 "batch" class: small-message batching chaos at the raw VIA
 // layer.  Each round builds a fresh VI pair over two engine-backed
-// NICs, posts a burst of inline sends through the batched paths —
-// PostSendBatch on even rounds, doorbell-coalesced PostSend bursts on
-// odd rounds — and lets lane faults, lane stalls and link cuts land in
-// the middle of the batches.  The contract is per descriptor:
+// NICs, posts a burst of inline sends through both entry points of the
+// one dispatch route — PostSendBatch groups on even rounds, the same
+// descriptors as plain PostSend singles on odd rounds — and lets lane
+// faults, lane stalls and link cuts land in the middle of the burst.
+// The contract is per descriptor:
 //
 //   - exactly-once completion — every posted descriptor (send and
 //     receive) surfaces on its CQ exactly once with a terminal status;
 //     a batch whose first descriptor faults must still flush the rest
 //     loudly, never drop or double-complete one;
 //   - no stranded waiters — every posted send reaches Wait within the
-//     watchdog deadline even when the fault hits a coalesced token;
+//     watchdog deadline even when the fault hits mid-batch;
 //   - zero silent corruption — every successfully delivered inline
 //     payload verifies byte for byte.
 //
@@ -36,19 +37,14 @@ import (
 const (
 	chaosBatchRounds = 24
 	chaosBatchMsgs   = 32 // descriptors per round
-	chaosBatchGroup  = 8  // PostSendBatch size / coalescing window
+	chaosBatchGroup  = 8  // PostSendBatch size
 	chaosBatchBytes  = 64 // inline payload per descriptor
 )
 
 // chaosBatchRound runs one burst over a fresh VI pair and checks the
 // exactly-once contract on both CQs.
 func chaosBatchRound(nw *via.Network, nicA, nicB *via.NIC, round int, res *chaosResult) error {
-	coalesce := round%2 == 1
-	if coalesce {
-		nicA.SetDoorbellCoalesce(chaosBatchGroup)
-	} else {
-		nicA.SetDoorbellCoalesce(0)
-	}
+	singles := round%2 == 1
 	sendCQ := via.NewCQ(2 * chaosBatchMsgs)
 	recvCQ := via.NewCQ(2 * chaosBatchMsgs)
 	viA, err := nicA.CreateVIWithCQ(7, sendCQ, nil)
@@ -96,7 +92,7 @@ func chaosBatchRound(nw *via.Network, nicA, nicB *via.NIC, round int, res *chaos
 		if i == cutAt {
 			nw.SetLinkDown(nicA.Name(), nicB.Name())
 		}
-		if coalesce {
+		if singles {
 			d, err := newSend()
 			if err != nil {
 				return err
@@ -230,7 +226,6 @@ func chaosBatch() (chaosResult, error) {
 	}
 
 	nicA.SetFaultInjector(nil)
-	nicA.SetDoorbellCoalesce(0)
 	nicA.StopEngine()
 	res.injected += inj.Stats().Total()
 	res.nic = sumStats(nicA.Stats(), nicB.Stats())

@@ -21,11 +21,11 @@ import (
 // the ablation baseline the E21 sweep compares against.
 //
 // Failure semantics: a transport error inside a collective aborts the
-// whole operation.  The failing rank broadcasts an epoch-stamped abort
-// token to every connected peer (best effort), every rank that sees the
-// token for its current epoch aborts too, and all of them return an
-// error wrapping ErrCollectiveAborted — a collective-wide clean error
-// instead of a hung world.
+// whole operation.  The failing rank rings every connected peer's
+// urgent doorbell with its epoch (best effort), every rank that sees
+// the doorbell for its current epoch aborts too, and all of them return
+// an error wrapping ErrCollectiveAborted — a collective-wide clean
+// error instead of a hung world.
 
 // barrierTag and friends live in a reserved negative-adjacent tag space
 // (the collection's articles reserve special tags for system messages).
@@ -35,7 +35,6 @@ const (
 	reduceTag   = barrierTag + 2
 	gatherTag   = barrierTag + 3
 	alltoallTag = barrierTag + 4
-	abortTag    = barrierTag + 5
 )
 
 // ErrCollectiveAborted reports a collective torn down after a transport
@@ -55,7 +54,7 @@ func (r *Rank) algo() Algo {
 func (r *Rank) beginColl() { r.epoch++ }
 
 // abortColl is the single exit point for collective failures: cascade
-// the abort token once per epoch, then wrap the cause.
+// the abort doorbell once per epoch, then wrap the cause.
 func (r *Rank) abortColl(peer int, cause error) error {
 	if r.cascaded < r.epoch {
 		r.cascaded = r.epoch
@@ -91,8 +90,8 @@ func (r *Rank) sendColl(dst, tag int, buf *proc.Buffer) error {
 	return nil
 }
 
-// recvColl is a collective receive: transport errors and incoming abort
-// tokens both abort the epoch.
+// recvColl is a collective receive: transport errors and a pending
+// abort doorbell both abort the epoch.
 func (r *Rank) recvColl(src, tag int, buf *proc.Buffer) (int, error) {
 	n, err := r.recvCollRaw(src, tag, buf)
 	if err != nil {
@@ -101,72 +100,17 @@ func (r *Rank) recvColl(src, tag int, buf *proc.Buffer) (int, error) {
 	return n, nil
 }
 
-// recvCollRaw is Recv plus abort-token interception, without the
+// recvCollRaw is Recv behind the abort doorbell check, without the
 // cascade (exchange runs it concurrently with a send and cascades only
-// after both halves have joined).  A token stamped with this epoch or
-// later returns ErrCollectiveAborted; stale tokens from a previous
-// epoch are dropped.
+// after both halves have joined).  A doorbell stamped with this epoch
+// or later returns ErrCollectiveAborted; one from a finished epoch is
+// ignored.
 func (r *Rank) recvCollRaw(src, tag int, buf *proc.Buffer) (int, error) {
 	if ae := r.abortEpoch.Load(); ae >= r.epoch {
 		return 0, fmt.Errorf("%w: rank %d epoch %d: abort doorbell (epoch %d)",
 			ErrCollectiveAborted, r.id, r.epoch, ae)
 	}
-	ep, err := r.peer(src)
-	if err != nil {
-		return 0, err
-	}
-	// Serve the unexpected queue: current-epoch abort tokens win, then
-	// the matching tag.
-	keep := r.unexpected[src][:0]
-	aborted := false
-	for _, p := range r.unexpected[src] {
-		if p.tag != abortTag {
-			keep = append(keep, p)
-			continue
-		}
-		var raw [8]byte
-		if p.data.Read(0, raw[:]) == nil && binary.LittleEndian.Uint64(raw[:]) >= r.epoch {
-			aborted = true
-		}
-		_ = r.proc.Free(p.data)
-	}
-	r.unexpected[src] = keep
-	if aborted {
-		return 0, fmt.Errorf("%w: rank %d epoch %d: abort token from rank %d",
-			ErrCollectiveAborted, r.id, r.epoch, src)
-	}
-	for i, p := range keep {
-		if p.tag == tag {
-			return r.claim(src, i, buf)
-		}
-	}
-	for {
-		gotTag, size, err := r.recvHeader(ep)
-		if err != nil {
-			return 0, err
-		}
-		if gotTag == abortTag {
-			// The 8-byte token fits the 16-byte header scratch buffer.
-			if _, err := ep.Recv(r.hdrRecv); err != nil {
-				return 0, err
-			}
-			var b [8]byte
-			if err := r.hdrRecv.Read(0, b[:]); err != nil {
-				return 0, err
-			}
-			if e := int64(binary.LittleEndian.Uint64(b[:])); uint64(e) >= r.epoch {
-				return 0, fmt.Errorf("%w: rank %d epoch %d: abort token from rank %d (epoch %d)",
-					ErrCollectiveAborted, r.id, r.epoch, src, e)
-			}
-			continue // stale token from a finished epoch
-		}
-		if gotTag == tag {
-			return r.recvPayload(ep, src, tag, size, buf)
-		}
-		if err := r.stash(ep, src, gotTag, size); err != nil {
-			return 0, err
-		}
-	}
+	return r.Recv(src, tag, buf)
 }
 
 // exchange sends sbuf to dst and receives from src into rbuf under one

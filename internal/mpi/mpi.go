@@ -80,16 +80,6 @@ type WorldOptions struct {
 	// Reliability, when non-nil, enables the reliability layer on every
 	// endpoint with this configuration.
 	Reliability *msg.ReliabilityConfig
-	// EngineLanes, when > 0, starts each node's NIC engine with that
-	// many lanes for asynchronous descriptor processing.  World.Close
-	// stops them.
-	EngineLanes int
-	// DoorbellCoalesce, when > 1, arms doorbell coalescing with that
-	// window on every node NIC (requires EngineLanes): the collectives'
-	// bursts of small sends — headers, scalar cells, ring segments —
-	// share one doorbell and one lane wakeup per window instead of one
-	// each.  World.Close disarms it.
-	DoorbellCoalesce int
 }
 
 // World is one MPI job: n ranks spread round-robin over the cluster's
@@ -100,8 +90,7 @@ type World struct {
 	opts    WorldOptions
 	// mu guards lazy pairing: peers slices are written (and, in lazy
 	// mode, read) under it.
-	mu             sync.Mutex
-	startedEngines bool
+	mu sync.Mutex
 }
 
 // Rank is one MPI process.
@@ -188,17 +177,6 @@ func NewWorldOpts(c *cluster.Cluster, n int, o WorldOptions) (*World, error) {
 			return nil, err
 		}
 		w.ranks = append(w.ranks, r)
-	}
-	if o.EngineLanes > 0 {
-		for _, node := range c.Nodes {
-			if !node.NIC.EngineRunning() {
-				node.NIC.StartEngineLanes(o.EngineLanes)
-			}
-			if o.DoorbellCoalesce > 1 {
-				node.NIC.SetDoorbellCoalesce(o.DoorbellCoalesce)
-			}
-		}
-		w.startedEngines = true
 	}
 	if !o.Lazy {
 		w.mu.Lock()
@@ -354,20 +332,12 @@ func (w *World) MuxStats() via.CQMuxStats {
 	return total
 }
 
-// Close stops every rank's mux poller and any NIC engines the world
-// started.  The world must be quiescent (no collective in flight).
+// Close stops every rank's mux poller.  The world must be quiescent
+// (no collective in flight).
 func (w *World) Close() {
 	for _, r := range w.ranks {
 		if r.mux != nil {
 			r.mux.Close()
-		}
-	}
-	if w.startedEngines {
-		for _, node := range w.cluster.Nodes {
-			node.NIC.SetDoorbellCoalesce(0)
-			if node.NIC.EngineRunning() {
-				node.NIC.StopEngine()
-			}
 		}
 	}
 }

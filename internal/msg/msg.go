@@ -745,7 +745,7 @@ func (e *Endpoint) recv(b *proc.Buffer, held *vipl.MemRegion) (int, error) {
 // reliability sequence number (0 when reliability is off).
 func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, error) {
 	size := b.Bytes
-	if eager && !e.opts.RDMAEager && size <= e.vi.NIC().InlineMax() {
+	if eager && !e.opts.RDMAEager && size <= via.MaxInlineData {
 		return e.sendInlineDesc(b, seq)
 	}
 	nchunks := (size + e.slotSize - 1) / e.slotSize

@@ -90,8 +90,6 @@ type StripeOptions struct {
 	// Clamped so a frame never exceeds the one-copy ceiling: chunks
 	// must stay on the retryable inline protocols.
 	Chunk int
-	// PollInterval bounds each receiver rail poll (0 = DefaultStripePoll).
-	PollInterval time.Duration
 	// RecvTimeout bounds StripeReceiver.Recv (0 = block forever).
 	RecvTimeout time.Duration
 	// Window bounds the receiver's dedup/reassembly state: frames for a
@@ -112,9 +110,6 @@ func (o StripeOptions) withStripeDefaults(oneCopyMax int) StripeOptions {
 	}
 	if max := oneCopyMax - stripeHdrLen; o.Chunk > max {
 		o.Chunk = max
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = DefaultStripePoll
 	}
 	if o.Window <= 0 {
 		o.Window = DefaultStripeWindow
@@ -429,7 +424,7 @@ func NewStripeReceiver(name string, rails []*Endpoint, opts StripeOptions) (*Str
 		}
 		// The poller must wake to notice Close and dead rails.
 		if ep.opts.RecvTimeout <= 0 {
-			ep.opts.RecvTimeout = opts.PollInterval
+			ep.opts.RecvTimeout = DefaultStripePoll
 		}
 		frame, err := ep.Process().Malloc(stripeHdrLen + opts.Chunk)
 		if err != nil {

@@ -152,50 +152,6 @@ func (q *CQ) push(c Completion) {
 		s.mu.Unlock()
 		return
 	}
-	q.insertLocked(s, c)
-	s.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
-}
-
-// pushBatch deposits a run of completions with one notify and one lock
-// acquisition per same-shard run, instead of one of each per entry.
-// The NIC's flush paths (batch overflow, VI error/reset) and the
-// engine's coalesced drains use it so completing a burst does not turn
-// back into per-entry wakeup traffic.
-func (q *CQ) pushBatch(cs []Completion) {
-	if q == nil || len(cs) == 0 || q.closed.Load() {
-		return
-	}
-	for i := 0; i < len(cs); {
-		s := q.shardFor(cs[i])
-		j := i + 1
-		for j < len(cs) && q.shardFor(cs[j]) == s {
-			j++
-		}
-		s.mu.Lock()
-		if q.closed.Load() {
-			s.mu.Unlock()
-			return
-		}
-		for _, c := range cs[i:j] {
-			q.insertLocked(s, c)
-		}
-		s.mu.Unlock()
-		i = j
-	}
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
-}
-
-// insertLocked adds one completion to shard s (s.mu held): overflow
-// check, ring growth, append, size bump.  Notification is the caller's
-// job so batches can coalesce it.
-func (q *CQ) insertLocked(s *cqShard, c Completion) {
 	if int(q.size.Load()) >= q.depth && s.n > 0 {
 		// Overflow: the whole queue is at depth — drop this shard's
 		// oldest entry, loudly.  (When the full entries all sit in
@@ -227,6 +183,11 @@ func (q *CQ) insertLocked(s *cqShard, c Completion) {
 	s.buf[(s.head+s.n)%len(s.buf)] = c
 	s.n++
 	q.size.Add(1)
+	s.mu.Unlock()
+	select {
+	case q.notify <- struct{}{}:
+	default:
+	}
 }
 
 // pop removes the oldest completion of one shard.

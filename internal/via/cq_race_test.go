@@ -8,20 +8,19 @@ import (
 	"testing"
 )
 
-// TestCQBatchPushDrainRace hammers concurrent batched pushes against a
-// mixed crowd of Poll/PollBatch/Len consumers and checks the exactly-
-// once contract: every pushed completion is drained by exactly one
-// consumer, nothing is lost, nothing is seen twice, and the queue ends
-// empty.  Run under -race this also pins the lock discipline of
-// pushBatch's per-shard runs against popMany's bulk drains.
+// TestCQBatchPushDrainRace hammers concurrent pushes against a mixed
+// crowd of Poll/PollBatch/Len consumers and checks the exactly-once
+// contract: every pushed completion is drained by exactly one consumer,
+// nothing is lost, nothing is seen twice, and the queue ends empty.
+// Run under -race this also pins the lock discipline of push against
+// popMany's bulk drains.
 func TestCQBatchPushDrainRace(t *testing.T) {
 	const (
 		producers = 4
-		batches   = 100
-		batchLen  = 9
+		perProd   = 900
 		consumers = 4
 	)
-	total := producers * batches * batchLen
+	total := producers * perProd
 	q := NewCQ(total) // depth = total: overflow can never race the count
 	descs := make([]Descriptor, total)
 	index := make(map[*Descriptor]int, total)
@@ -40,22 +39,8 @@ func TestCQBatchPushDrainRace(t *testing.T) {
 		pwg.Add(1)
 		go func(p int) {
 			defer pwg.Done()
-			base := p * batches * batchLen
-			for b := 0; b < batches; b++ {
-				cs := make([]Completion, batchLen)
-				for k := range cs {
-					i := base + b*batchLen + k
-					cs[k] = Completion{VI: vis[i%len(vis)], Desc: &descs[i]}
-				}
-				if b%8 == 0 {
-					// Interleave some single pushes so both producer
-					// paths race the drains.
-					for _, c := range cs {
-						q.push(c)
-					}
-				} else {
-					q.pushBatch(cs)
-				}
+			for i := p * perProd; i < (p+1)*perProd; i++ {
+				q.push(Completion{VI: vis[i%len(vis)], Desc: &descs[i]})
 			}
 		}(p)
 	}
@@ -112,7 +97,7 @@ func TestCQBatchPushDrainRace(t *testing.T) {
 
 // TestCQLenPollConsistency pins the Len/Poll snapshot fix: with a SOLE
 // consumer, a positive Len can never be followed by ErrCQEmpty — the
-// rescan loop retries shards a racing pushBatch filled behind the scan
+// rescan loop retries shards a racing push filled behind the scan
 // front.  Before the fix this interleaving returned ErrCQEmpty against
 // a non-empty queue.
 func TestCQLenPollConsistency(t *testing.T) {
@@ -127,17 +112,8 @@ func TestCQLenPollConsistency(t *testing.T) {
 	pwg.Add(1)
 	go func() {
 		defer pwg.Done()
-		for i := 0; i < total; {
-			n := 7
-			if i+n > total {
-				n = total - i
-			}
-			cs := make([]Completion, n)
-			for k := range cs {
-				cs[k] = Completion{VI: vis[(i+k)%len(vis)], Desc: &descs[i+k]}
-			}
-			q.pushBatch(cs)
-			i += n
+		for i := range descs {
+			q.push(Completion{VI: vis[i%len(vis)], Desc: &descs[i]})
 		}
 	}()
 	for got := 0; got < total; {

@@ -70,15 +70,25 @@ func newMultiRig(t *testing.T, nVIs int, withCQ bool) *multiRig {
 	return r
 }
 
+// postSends posts ds through the entry point its length selects.
+func postSends(v *VI, ds []*Descriptor) error {
+	if len(ds) == 1 {
+		return v.PostSend(ds[0])
+	}
+	return v.PostSendBatch(ds)
+}
+
 // TestEngineStressRace hammers the engine from many posting goroutines
-// across many VIs while StartEngine/StopEngine cycle concurrently.  No
-// descriptor may be lost: every post must complete, either processed by
-// a lane, inline after losing the stop race, or (never here, queues are
-// deep enough) with an overflow status.  Run under -race.
+// across many VIs while StartEngine/StopEngine cycle concurrently, with
+// single posts on even rounds and batches on odd ones.  No descriptor
+// may be lost: every post must complete, either processed by a lane,
+// inline after losing the stop race, or (never here, queues are deep
+// enough) with an overflow status.  Run under -race.
 func TestEngineStressRace(t *testing.T) {
 	const (
 		nVIs   = 8
 		rounds = 200
+		batch  = 3
 	)
 	r := newMultiRig(t, nVIs, false)
 
@@ -107,23 +117,34 @@ func TestEngineStressRace(t *testing.T) {
 			defer wg.Done()
 			viA, viB := r.visA[w], r.visB[w]
 			for i := 0; i < rounds; i++ {
-				rd := NewDescriptor(OpRecv, Segment{Handle: r.hB[w], Offset: 0, Length: 64})
-				if err := viB.PostRecv(rd); err != nil {
+				n := 1 + i%2*(batch-1)
+				rds, sds := make([]*Descriptor, n), make([]*Descriptor, n)
+				for k := range rds {
+					rds[k] = NewDescriptor(OpRecv, Segment{Handle: r.hB[w], Offset: 0, Length: 64})
+					sds[k] = NewDescriptor(OpSend, Segment{Handle: r.hA[w], Offset: 0, Length: 16})
+				}
+				var err error
+				if n == 1 {
+					err = viB.PostRecv(rds[0])
+				} else {
+					err = viB.PostRecvBatch(rds)
+				}
+				if err == nil {
+					err = postSends(viA, sds)
+				}
+				if err != nil {
 					errs[w] = err
 					return
 				}
-				sd := NewDescriptor(OpSend, Segment{Handle: r.hA[w], Offset: 0, Length: 16})
-				if err := viA.PostSend(sd); err != nil {
-					errs[w] = err
-					return
-				}
-				if st := sd.Wait(); st != StatusSuccess {
-					errs[w] = fmt.Errorf("round %d: send status %v", i, st)
-					return
-				}
-				if st := rd.Wait(); st != StatusSuccess {
-					errs[w] = fmt.Errorf("round %d: recv status %v", i, st)
-					return
+				for k := range sds {
+					if st := sds[k].Wait(); st != StatusSuccess {
+						errs[w] = fmt.Errorf("round %d: send %d status %v", i, k, st)
+						return
+					}
+					if st := rds[k].Wait(); st != StatusSuccess {
+						errs[w] = fmt.Errorf("round %d: recv %d status %v", i, k, st)
+						return
+					}
 				}
 			}
 		}(w)
@@ -137,8 +158,8 @@ func TestEngineStressRace(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	if got := r.nicA.Stats().Sends; got != nVIs*rounds {
-		t.Fatalf("sends = %d, want %d", got, nVIs*rounds)
+	if got, want := r.nicA.Stats().Sends, uint64(nVIs*rounds/2*(1+batch)); got != want {
+		t.Fatalf("sends = %d, want %d", got, want)
 	}
 }
 
@@ -189,7 +210,9 @@ func TestEnginePerVIOrder(t *testing.T) {
 	}
 	for w := 0; w < nVIs; w++ {
 		for i := 0; i < sends; i++ {
-			c, err := r.cqs[w].Poll()
+			// Wait, not Poll: a descriptor's CQ entry trails its Wait
+			// wakeup by the completing lane's push.
+			c, err := r.cqs[w].Wait()
 			if err != nil {
 				t.Fatalf("vi %d completion %d: %v", w, i, err)
 			}
@@ -201,40 +224,65 @@ func TestEnginePerVIOrder(t *testing.T) {
 }
 
 // TestEngineQueueOverflow verifies a post that finds its lane full
-// completes with StatusQueueOverflow instead of blocking the doorbell.
-// The engine is built by hand with a one-slot lane and no worker so the
-// queue state is deterministic.
+// completes with StatusQueueOverflow instead of blocking the doorbell —
+// every descriptor of the post, each exactly once, whether it came
+// through PostSend or PostSendBatch.  The engine is built by hand with a
+// one-slot lane and no worker so the queue state is deterministic.
 func TestEngineQueueOverflow(t *testing.T) {
-	r := newMultiRig(t, 1, false)
-	e := &engine{lanes: make([]engineLane, 1)}
-	e.lanes[0].ch = make(chan engineItem, 1)
-	r.nicA.mu.Lock()
-	r.nicA.eng = e
-	r.nicA.mu.Unlock()
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("post%d", n), func(t *testing.T) {
+			r := newMultiRig(t, 1, true)
+			e := &engine{lanes: make([]engineLane, 1)}
+			e.lanes[0].ch = make(chan engineItem, 1)
+			r.nicA.mu.Lock()
+			r.nicA.eng = e
+			r.nicA.mu.Unlock()
 
-	rd := NewDescriptor(OpRecv, Segment{Handle: r.hB[0], Offset: 0, Length: 64})
-	if err := r.visB[0].PostRecv(rd); err != nil {
-		t.Fatal(err)
-	}
-	first := NewDescriptor(OpSend, Segment{Handle: r.hA[0], Offset: 0, Length: 8})
-	if err := r.visA[0].PostSend(first); err != nil {
-		t.Fatal(err)
-	}
-	overflow := NewDescriptor(OpSend, Segment{Handle: r.hA[0], Offset: 0, Length: 8})
-	if err := r.visA[0].PostSend(overflow); err != nil {
-		t.Fatal(err)
-	}
-	if st := overflow.Wait(); st != StatusQueueOverflow {
-		t.Fatalf("overflow status = %v, want %v", st, StatusQueueOverflow)
-	}
-	// The queued descriptor was never lost: drain and process it.
-	r.nicA.mu.Lock()
-	r.nicA.eng = nil
-	r.nicA.mu.Unlock()
-	item := <-e.lanes[0].ch
-	r.nicA.process(item.vi, item.d)
-	if st := first.Wait(); st != StatusSuccess {
-		t.Fatalf("first status = %v", st)
+			post := func() []*Descriptor {
+				ds := make([]*Descriptor, n)
+				for i := range ds {
+					ds[i] = NewDescriptor(OpSend, Segment{Handle: r.hA[0], Offset: 0, Length: 8})
+				}
+				if err := postSends(r.visA[0], ds); err != nil {
+					t.Fatal(err)
+				}
+				return ds
+			}
+			for i := 0; i < n; i++ {
+				rd := NewDescriptor(OpRecv, Segment{Handle: r.hB[0], Offset: 0, Length: 64})
+				if err := r.visB[0].PostRecv(rd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first := post() // fills the lane's one slot
+			overflow := post()
+			for i, d := range overflow {
+				if st := d.Wait(); st != StatusQueueOverflow {
+					t.Fatalf("overflow %d status = %v, want %v", i, st, StatusQueueOverflow)
+				}
+				c, err := r.cqs[0].Poll()
+				if err != nil || c.Desc != d {
+					t.Fatalf("overflow %d: completion %+v, %v; want its own, in order", i, c, err)
+				}
+			}
+			if c, err := r.cqs[0].Poll(); err == nil {
+				t.Fatalf("extra completion after the overflowed post: %+v", c)
+			}
+			// The queued post was never lost: drain and process it.
+			r.nicA.mu.Lock()
+			r.nicA.eng = nil
+			r.nicA.mu.Unlock()
+			item := <-e.lanes[0].ch
+			r.nicA.process(item.vi, item.d)
+			for _, d := range item.rest {
+				r.nicA.process(item.vi, d)
+			}
+			for i, d := range first {
+				if st := d.Wait(); st != StatusSuccess {
+					t.Fatalf("first %d status = %v", i, st)
+				}
+			}
+		})
 	}
 }
 

@@ -142,14 +142,11 @@ const ImmediateLen = 4
 // MaxInlineData is the hardware bound on inline payload: the descriptor
 // image the NIC fetches is one cache-line-aligned 256-byte block beyond
 // the header, so a payload up to this size rides inside the descriptor
-// itself — no TPT translation, no gather DMA, no staging buffer.  The
-// per-NIC InlineMax attribute (SetInlineMax) may lower the accepted
-// size but never exceeds this bound.
+// itself — no TPT translation, no gather DMA, no staging buffer.
 const MaxInlineData = 256
 
-// ErrInlineTooLarge reports an inline payload exceeding the NIC's
-// InlineMax (or the MaxInlineData hardware bound).
-var ErrInlineTooLarge = errors.New("via: inline payload exceeds InlineMax")
+// ErrInlineTooLarge reports an inline payload exceeding MaxInlineData.
+var ErrInlineTooLarge = errors.New("via: inline payload exceeds MaxInlineData")
 
 // Descriptor is one work request.  The process builds it in (conceptually
 // registered) memory, posts it to a VI work queue and rings the doorbell;
@@ -222,8 +219,8 @@ func (d *Descriptor) TotalLength() int {
 // descriptor into an inline send: the payload travels inside the
 // descriptor, skipping TPT translation and the gather DMA entirely.
 // The descriptor must carry no segments (the inline image replaces
-// them).  Payloads beyond MaxInlineData are refused; the posting NIC
-// additionally enforces its configured InlineMax.
+// them).  Payloads beyond MaxInlineData are refused, here and again at
+// post time.
 func (d *Descriptor) SetInline(p []byte) error {
 	img, err := d.InlineBuf(len(p))
 	copy(img, p)

@@ -37,16 +37,15 @@ type engineLane struct {
 	ch     chan engineItem
 }
 
-// engineItem is one unit of lane work, in one of three shapes:
-//   - single:  d != nil — process one descriptor;
-//   - batch:   batch != nil — process the descriptors in order (one
-//     enqueue, one wakeup for the whole PostSendBatch);
-//   - token:   d == nil && batch == nil — a coalesced doorbell; the
-//     worker drains the VI's dbPending list (see dispatchCoalesced).
+// engineItem is one unit of lane work: the descriptors that shared one
+// doorbell, in posting order.  d is the first — a PostSend posts only
+// it, so the single post carries no slice into the channel — and rest
+// is the remainder of a PostSendBatch (one enqueue, one wakeup for the
+// whole batch).
 type engineItem struct {
-	vi    *VI
-	d     *Descriptor
-	batch []*Descriptor
+	vi   *VI
+	d    *Descriptor
+	rest []*Descriptor
 }
 
 // engineQueueDepth bounds the posted-but-unprocessed descriptor count
@@ -96,40 +95,23 @@ func (n *NIC) StartEngineLanes(lanes int) {
 				}
 				// SiteLane models the lane hardware itself: stall rules
 				// delay the dequeue (a slow lane), error rules fault the
-				// descriptor as a DMA engine failure.  For a batch or a
-				// coalesced token the fault hits the first descriptor; the
-				// rest of the batch drains through process, which flushes
-				// them with StatusConnectionError off the now-errored VI —
-				// every descriptor still reaches exactly one terminal
-				// status.
+				// item's first descriptor as a DMA engine failure.  The rest
+				// of a batch drains through process, which flushes them with
+				// StatusConnectionError off the now-errored VI — every
+				// descriptor still reaches exactly one terminal status.
 				var ferr error
 				if inj := n.inj.Load(); inj != nil {
 					if err := inj.Check(faultinject.Op{Site: SiteLane, Key: item.vi.uid}); err != nil {
 						ferr = fmt.Errorf("%w: %w", ErrDMAFault, err)
 					}
 				}
-				switch {
-				case item.d != nil:
-					if ferr != nil {
-						n.faultSend(item.vi, item.d, ferr)
-						continue
-					}
+				if ferr != nil {
+					n.faultSend(item.vi, item.d, ferr)
+				} else {
 					n.process(item.vi, item.d)
-				case item.batch != nil:
-					for i, d := range item.batch {
-						if i == 0 && ferr != nil {
-							n.faultSend(item.vi, d, ferr)
-							continue
-						}
-						n.process(item.vi, d)
-					}
-				default: // coalesced doorbell token
-					if ferr != nil {
-						if d0 := item.vi.takeOnePending(); d0 != nil {
-							n.faultSend(item.vi, d0, ferr)
-						}
-					}
-					n.drainPending(item.vi)
+				}
+				for _, d := range item.rest {
+					n.process(item.vi, d)
 				}
 			}
 		}(i, &e.lanes[i])
@@ -189,10 +171,10 @@ const (
 	enqClosed
 )
 
-// enqueueItem places one item on the VI's lane.  obs is the caller's
+// enqueueItem places one item on its VI's lane.  obs is the caller's
 // loaded observer (nil when detached).
-func (e *engine) enqueueItem(obs *nicObs, v *VI, item engineItem) enqResult {
-	lane := v.id % len(e.lanes)
+func (e *engine) enqueueItem(obs *nicObs, item engineItem) enqResult {
+	lane := item.vi.id % len(e.lanes)
 	ln := &e.lanes[lane]
 	ln.mu.Lock()
 	if ln.closed {
@@ -214,163 +196,37 @@ func (e *engine) enqueueItem(obs *nicObs, v *VI, item engineItem) enqResult {
 	return enqFull
 }
 
-// dispatch routes a posted descriptor either inline (synchronous mode)
-// or onto its VI's engine lane.  The doorbell is charged here — not in
-// PostSend — so the coalesced path can elide it.
-func (n *NIC) dispatch(v *VI, d *Descriptor) {
+// dispatch is the one route from a send doorbell to the DMA engine.  d
+// and then rest (the remainder of a PostSendBatch, nil for a PostSend)
+// share one doorbell and are processed in that order: inline on a
+// synchronous NIC, as one item on the VI's lane in engine mode.  A full
+// lane completes all of them with StatusQueueOverflow — the send queue
+// could not take the post — instead of blocking the doorbell.
+func (n *NIC) dispatch(v *VI, d *Descriptor, rest []*Descriptor) {
+	n.ringDoorbell(1 + len(rest))
 	n.mu.Lock()
 	e := n.eng
 	n.mu.Unlock()
-	if e == nil {
-		n.ringDoorbell()
-		n.process(v, d)
-		return
-	}
-	if w := int(n.dbCoalesce.Load()); w > 1 {
-		n.dispatchCoalesced(e, v, d, w)
-		return
-	}
-	n.ringDoorbell()
-	switch e.enqueueItem(n.obs.Load(), v, engineItem{vi: v, d: d}) {
-	case enqFull:
-		v.completeSend(d, StatusQueueOverflow, 0)
-	case enqClosed:
-		// Lost the race with StopEngine.  Wait for the lanes to finish
-		// draining so this VI's earlier descriptors complete first, then
-		// process inline — per-VI order holds and the completion is
-		// never lost.
-		e.wg.Wait()
-		n.process(v, d)
-	}
-}
-
-// dispatchBatch routes a PostSendBatch: one doorbell, one lane item for
-// the whole batch.  A full lane overflows the entire batch (the send
-// queue could not take it); a closed lane processes it inline after the
-// drain, like dispatch.
-func (n *NIC) dispatchBatch(v *VI, ds []*Descriptor) {
-	n.mu.Lock()
-	e := n.eng
-	n.mu.Unlock()
-	n.ringDoorbell()
-	n.ctr.batchPosts.Add(1)
-	if len(ds) > 1 {
-		n.ctr.doorbellsSaved.Add(uint64(len(ds) - 1))
-	}
-	if e == nil {
-		for _, d := range ds {
-			n.process(v, d)
-		}
-		return
-	}
-	switch e.enqueueItem(n.obs.Load(), v, engineItem{vi: v, batch: ds}) {
-	case enqFull:
-		v.completeSendBatch(ds, StatusQueueOverflow)
-	case enqClosed:
-		e.wg.Wait()
-		for _, d := range ds {
-			n.process(v, d)
-		}
-	}
-}
-
-// dispatchCoalesced is the opt-in doorbell-coalescing path
-// (SetDoorbellCoalesce, engine mode only).  Every post appends its
-// descriptor to the VI's dbPending list; only the post that finds the
-// list disarmed rings the doorbell and enqueues a *token* on the VI's
-// lane.  The lane worker drains the whole list on dequeue, so a burst
-// of posts costs one doorbell charge and one lane wakeup.  Per-VI
-// order holds because the token rides the same single-consumer lane
-// the VI's descriptors would.  A long burst still pays: every window-th
-// coalesced post re-rings the doorbell (charge only — the token is
-// already in flight), modeling the bounded hardware doorbell window.
-func (n *NIC) dispatchCoalesced(e *engine, v *VI, d *Descriptor, window int) {
-	v.mu.Lock()
-	v.dbPending = append(v.dbPending, d)
-	armed := v.dbArmed
-	pend := len(v.dbPending)
-	if !armed {
-		v.dbArmed = true
-	}
-	v.mu.Unlock()
-	if !armed {
-		n.ringDoorbell()
-		switch e.enqueueItem(n.obs.Load(), v, engineItem{vi: v}) {
+	if e != nil {
+		switch e.enqueueItem(n.obs.Load(), engineItem{vi: v, d: d, rest: rest}) {
+		case enqOK:
+			return
 		case enqFull:
-			n.flushPendingOverflow(v)
+			v.completeSend(d, StatusQueueOverflow, 0)
+			for _, d := range rest {
+				v.completeSend(d, StatusQueueOverflow, 0)
+			}
+			return
 		case enqClosed:
+			// Lost the race with StopEngine.  Wait for the lanes to finish
+			// draining so this VI's earlier descriptors complete first, then
+			// process inline — per-VI order holds and the completion is
+			// never lost.
 			e.wg.Wait()
-			n.drainPending(v)
 		}
-		return
 	}
-	if pend%window == 0 {
-		n.ringDoorbell()
-	} else {
-		n.ctr.doorbellsSaved.Add(1)
+	n.process(v, d)
+	for _, d := range rest {
+		n.process(v, d)
 	}
-}
-
-// drainPending is the token's work: process the VI's coalesced posts
-// until the list is empty, then disarm.  Only the token's owner (the
-// lane worker, or the arming post after a StopEngine race) runs it, so
-// there is exactly one drainer per armed window.  The drained batch's
-// backing array is recycled through dbFree so steady-state coalescing
-// never allocates.
-func (n *NIC) drainPending(v *VI) {
-	for {
-		v.mu.Lock()
-		batch := v.dbPending
-		if len(batch) == 0 {
-			v.dbArmed = false
-			v.mu.Unlock()
-			return
-		}
-		v.dbPending = v.dbFree[:0]
-		v.dbFree = nil
-		v.mu.Unlock()
-		for _, d := range batch {
-			n.process(v, d)
-		}
-		clear(batch)
-		v.mu.Lock()
-		if v.dbFree == nil {
-			v.dbFree = batch[:0]
-		}
-		v.mu.Unlock()
-	}
-}
-
-// flushPendingOverflow completes every coalesced pending descriptor
-// with StatusQueueOverflow — the token found the lane full, so the
-// send queue could not take the window — then disarms.
-func (n *NIC) flushPendingOverflow(v *VI) {
-	for {
-		v.mu.Lock()
-		batch := v.dbPending
-		if len(batch) == 0 {
-			v.dbArmed = false
-			v.mu.Unlock()
-			return
-		}
-		v.dbPending = nil
-		v.mu.Unlock()
-		v.completeSendBatch(batch, StatusQueueOverflow)
-	}
-}
-
-// takeOnePending pops the head of the VI's coalesced list (nil when
-// empty) so a lane fault on a token has a descriptor to pin the DMA
-// fault on, mirroring the single-descriptor fault path.
-func (v *VI) takeOnePending() *Descriptor {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.dbPending) == 0 {
-		return nil
-	}
-	d := v.dbPending[0]
-	n := copy(v.dbPending, v.dbPending[1:])
-	v.dbPending[n] = nil
-	v.dbPending = v.dbPending[:n]
-	return d
 }

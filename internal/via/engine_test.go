@@ -135,9 +135,13 @@ func TestDisconnectDuringEngineSends(t *testing.T) {
 	}
 	posted := make(chan []*Descriptor, 1)
 	postErr := make(chan error, 1)
+	backlog := make(chan struct{})
 	go func() {
 		var out []*Descriptor
 		for i := 0; i < posts; i++ {
+			if i == posts/4 {
+				close(backlog)
+			}
 			sd := NewDescriptor(OpSend, Segment{Handle: hA, Offset: 0, Length: 8})
 			if err := r.viA.PostSend(sd); err != nil {
 				// The disconnect landed between posts: refusal is the
@@ -153,7 +157,7 @@ func TestDisconnectDuringEngineSends(t *testing.T) {
 		posted <- out
 	}()
 
-	time.Sleep(500 * time.Microsecond)
+	<-backlog
 	if err := r.net.Disconnect(r.viA); err != nil && !errors.Is(err, ErrVIErrorState) {
 		t.Fatal(err)
 	}

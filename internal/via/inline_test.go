@@ -52,9 +52,8 @@ func TestInlineDelivers(t *testing.T) {
 	}
 }
 
-// TestInlineMaxBoundary sweeps the two inline ceilings at ±1: the
-// descriptor image bound (MaxInlineData, enforced by SetInline) and the
-// runtime NIC bound (InlineMax, enforced at post time).
+// TestInlineMaxBoundary sweeps the inline ceiling MaxInlineData at ±1,
+// at both places that enforce it: SetInline and the post-time check.
 func TestInlineMaxBoundary(t *testing.T) {
 	r := newRig(t)
 
@@ -72,37 +71,17 @@ func TestInlineMaxBoundary(t *testing.T) {
 		t.Fatal("refused SetInline still marked the descriptor inline")
 	}
 
-	// Full path at the default NIC cap: InlineMax-1 and InlineMax both
-	// deliver.
-	if got := r.nicA.InlineMax(); got != MaxInlineData {
-		t.Fatalf("default InlineMax = %d, want %d", got, MaxInlineData)
-	}
+	// Full path: MaxInlineData-1 and MaxInlineData both deliver.
 	inlineRoundTrip(t, r, make([]byte, MaxInlineData-1))
 	inlineRoundTrip(t, r, make([]byte, MaxInlineData))
 
-	// Lowered NIC cap: the descriptor accepts the payload (it fits the
-	// image) but the post refuses it — the card's advertised InlineMax
-	// is the operative bound.
-	const cap = 64
-	r.nicA.SetInlineMax(cap)
-	inlineRoundTrip(t, r, make([]byte, cap-1))
-	inlineRoundTrip(t, r, make([]byte, cap))
+	// Post-time check: a descriptor image claiming more than the card
+	// fetches is refused at the doorbell.
 	over := NewDescriptor(OpSend)
-	if err := over.SetInline(make([]byte, cap+1)); err != nil {
-		t.Fatalf("SetInline(%d) under NIC cap %d = %v, want ok (post-time check)",
-			cap+1, cap, err)
-	}
+	over.inlineLen = MaxInlineData + 1
 	if err := r.viA.PostSend(over); !errors.Is(err, ErrInlineTooLarge) {
-		t.Fatalf("PostSend(%d inline, cap %d) = %v, want ErrInlineTooLarge",
-			cap+1, cap, err)
+		t.Fatalf("PostSend(%d inline) = %v, want ErrInlineTooLarge", MaxInlineData+1, err)
 	}
-
-	// Negative restores the hardware default.
-	r.nicA.SetInlineMax(-1)
-	if got := r.nicA.InlineMax(); got != MaxInlineData {
-		t.Fatalf("SetInlineMax(-1) left InlineMax = %d, want %d", got, MaxInlineData)
-	}
-	inlineRoundTrip(t, r, make([]byte, cap+1))
 }
 
 // TestInlineZeroAllocs proves the inline fast path puts nothing on the

@@ -194,12 +194,7 @@ func (nw *Network) Disconnect(v *VI) error {
 	v.peer = nil
 	v.state = VIIdle
 	v.mu.Unlock()
-	if n := len(pending); n > 0 {
-		v.nic.ctr.descFlushed.Add(uint64(n))
-	}
-	for _, d := range pending {
-		v.completeRecv(d, StatusCancelled, 0)
-	}
+	v.flushRecvs(pending)
 	if peer != nil {
 		peer.mu.Lock()
 		if peer.state == VIError {
@@ -212,12 +207,7 @@ func (nw *Network) Disconnect(v *VI) error {
 		peer.peer = nil
 		peer.state = VIIdle
 		peer.mu.Unlock()
-		if n := len(ppending); n > 0 {
-			peer.nic.ctr.descFlushed.Add(uint64(n))
-		}
-		for _, d := range ppending {
-			peer.completeRecv(d, StatusCancelled, 0)
-		}
+		peer.flushRecvs(ppending)
 	}
 	return nil
 }

@@ -44,8 +44,8 @@ type Stats struct {
 	// Small-message fast path accounting (E24's scoreboard).
 	InlineSends    uint64 // sends whose payload rode inside the descriptor
 	Doorbells      uint64 // doorbells actually rung (PIO writes)
-	DoorbellsSaved uint64 // posts whose doorbell was coalesced away
-	BatchPosts     uint64 // descriptors posted through batch/coalesced doorbells
+	DoorbellsSaved uint64 // batch descriptors that shared another's doorbell
+	BatchPosts     uint64 // PostSendBatch/PostRecvBatch calls that posted
 
 	// Fault/recovery accounting (the chaos harness's scoreboard).
 	Faults             uint64 // data-path faults that hit a VI (injected or organic)
@@ -114,13 +114,6 @@ type NIC struct {
 	// consulted for link partitions.
 	nw atomic.Pointer[Network]
 
-	// inlineMax is the accepted inline-payload bound (0..MaxInlineData,
-	// default MaxInlineData); dbCoalesce is the doorbell-coalescing
-	// window (0 = every post rings; see SetDoorbellCoalesce).  Both are
-	// atomic so posts read them lock-free.
-	inlineMax  atomic.Int32
-	dbCoalesce atomic.Int32
-
 	// ioFaultHandler is the host-side IO-page-fault upcall for nopin
 	// regions (installed by the kernel agent); ioFaultPolicy selects
 	// fault-and-retry vs speculative recovery.  Both are atomic so the
@@ -168,53 +161,26 @@ func NewNIC(name string, mem *phys.Memory, meter *simtime.Meter, tptSlots int) *
 	if meter == nil {
 		meter = &simtime.Meter{}
 	}
-	n := &NIC{
+	return &NIC{
 		name:  name,
 		mem:   mem,
 		meter: meter,
 		tpt:   newTPT(tptSlots),
 		vis:   make(map[int]*VI),
 	}
-	n.inlineMax.Store(MaxInlineData)
-	return n
 }
 
-// InlineMax reports the NIC's accepted inline-payload bound.
-func (n *NIC) InlineMax() int { return int(n.inlineMax.Load()) }
-
-// SetInlineMax adjusts the accepted inline-payload bound.  Values are
-// clamped to [0, MaxInlineData]; 0 refuses inline sends entirely.
-// Negative values restore the default (MaxInlineData).
-func (n *NIC) SetInlineMax(max int) {
-	switch {
-	case max < 0 || max > MaxInlineData:
-		max = MaxInlineData
-	}
-	n.inlineMax.Store(int32(max))
-}
-
-// DoorbellCoalesce reports the doorbell-coalescing window (0 or 1 =
-// disabled).
-func (n *NIC) DoorbellCoalesce() int { return int(n.dbCoalesce.Load()) }
-
-// SetDoorbellCoalesce sets the doorbell-coalescing window: in engine
-// mode, up to `window` posts on one VI share a single doorbell ring and
-// lane wakeup (see dispatchCoalesced).  Values <= 1 disable coalescing;
-// synchronous (engine-off) NICs ignore the setting.  Completion-order
-// guarantees are unchanged — only the wakeup count drops.
-func (n *NIC) SetDoorbellCoalesce(window int) {
-	if window < 0 {
-		window = 0
-	}
-	n.dbCoalesce.Store(int32(window))
-}
-
-// ringDoorbell charges one doorbell MMIO and counts it: every post path
-// that actually wakes the card goes through here, so Stats.Doorbells is
-// the measured doorbells/op denominator of E24.
-func (n *NIC) ringDoorbell() {
+// ringDoorbell charges the one doorbell MMIO that posts descs
+// descriptors and counts it, along with the rings the post's other
+// descriptors did not need: every post path that wakes the card goes
+// through here, so Stats.Doorbells is the measured doorbells/op
+// denominator of E24.
+func (n *NIC) ringDoorbell(descs int) {
 	n.meter.Charge(n.meter.Costs.Doorbell)
 	n.ctr.doorbells.Add(1)
+	if descs > 1 {
+		n.ctr.doorbellsSaved.Add(uint64(descs - 1))
+	}
 }
 
 // Name returns the NIC's name.

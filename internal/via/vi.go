@@ -98,18 +98,6 @@ type VI struct {
 	// and the steady-state receive path never allocates.
 	recvQ    []*Descriptor
 	recvHead int
-	// sendsInFlight is informational: descriptors posted but not complete.
-	sendsInFlight int
-
-	// Doorbell coalescing (engine mode, opt-in via SetDoorbellCoalesce):
-	// posts append to dbPending; only the post that finds the list
-	// disarmed rings the doorbell and enqueues a lane token, so a burst
-	// of posts costs one doorbell and one lane wakeup.  dbFree is the
-	// drained batch's backing array, recycled so steady-state coalescing
-	// never allocates.  All three are guarded by mu.
-	dbPending []*Descriptor
-	dbFree    []*Descriptor
-	dbArmed   bool
 
 	// Optional completion queues (set by CreateVIWithCQ).
 	sendCQ *CQ
@@ -160,49 +148,13 @@ func (v *VI) completeRecv(d *Descriptor, st Status, n int) {
 	v.recvCQ.push(Completion{VI: v, Desc: d, Recv: true})
 }
 
-// completeSendBatch finalizes a run of send descriptors with the same
-// status, costing one CQ lock pass and one notify instead of one per
-// descriptor (the flush paths complete whole batches at once).
-func (v *VI) completeSendBatch(ds []*Descriptor, st Status) {
-	if len(ds) == 0 {
-		return
+// flushRecvs completes the receive descriptors an error, reset or
+// disconnect took off the queue with StatusCancelled.
+func (v *VI) flushRecvs(ds []*Descriptor) {
+	v.nic.ctr.descFlushed.Add(uint64(len(ds)))
+	for _, d := range ds {
+		v.completeRecv(d, StatusCancelled, 0)
 	}
-	if v.sendCQ == nil {
-		for _, d := range ds {
-			v.completeSend(d, st, 0)
-		}
-		return
-	}
-	cs := make([]Completion, len(ds))
-	for i, d := range ds {
-		if won, span, postSim := d.complete(st, 0); won {
-			v.observeComplete(span, postSim, trace.KindDescSend, st, 0, false)
-		}
-		cs[i] = Completion{VI: v, Desc: d}
-	}
-	v.sendCQ.pushBatch(cs)
-}
-
-// completeRecvBatch is completeSendBatch for the receive queue (VI
-// error and reset flush every posted receive in one go).
-func (v *VI) completeRecvBatch(ds []*Descriptor, st Status) {
-	if len(ds) == 0 {
-		return
-	}
-	if v.recvCQ == nil {
-		for _, d := range ds {
-			v.completeRecv(d, st, 0)
-		}
-		return
-	}
-	cs := make([]Completion, len(ds))
-	for i, d := range ds {
-		if won, span, postSim := d.complete(st, 0); won {
-			v.observeComplete(span, postSim, trace.KindDescRecv, st, 0, true)
-		}
-		cs[i] = Completion{VI: v, Desc: d, Recv: true}
-	}
-	v.recvCQ.pushBatch(cs)
 }
 
 // observeComplete closes a descriptor's lifecycle span and records its
@@ -243,6 +195,18 @@ func (v *VI) String() string {
 	return fmt.Sprintf("%s/vi%d", v.nic.name, v.id)
 }
 
+// postGateLocked is the admission rule every post shares (mu held):
+// only a connected VI takes work.
+func (v *VI) postGateLocked() error {
+	switch v.state {
+	case VIError:
+		return fmt.Errorf("%w (cause: %v)", ErrVIErrorState, v.errCause)
+	case VIIdle:
+		return ErrNotConnected
+	}
+	return nil
+}
+
 // PostRecv places a receive descriptor on the VI's receive queue and
 // rings the receive doorbell.  Per the VIA rules the descriptor must be
 // posted before the peer's matching send starts.
@@ -250,14 +214,11 @@ func (v *VI) PostRecv(d *Descriptor) error {
 	if d.Op != OpRecv {
 		return fmt.Errorf("via: PostRecv with %v descriptor", d.Op)
 	}
-	v.nic.ringDoorbell()
+	v.nic.ringDoorbell(1)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	switch v.state {
-	case VIError:
-		return fmt.Errorf("%w (cause: %v)", ErrVIErrorState, v.errCause)
-	case VIIdle:
-		return ErrNotConnected
+	if err := v.postGateLocked(); err != nil {
+		return err
 	}
 	v.pushRecvLocked(d, v.nic.obs.Load())
 	return nil
@@ -278,18 +239,12 @@ func (v *VI) PostRecvBatch(ds []*Descriptor) error {
 			return fmt.Errorf("via: PostRecvBatch with %v descriptor", d.Op)
 		}
 	}
-	v.nic.ringDoorbell()
+	v.nic.ringDoorbell(len(ds))
 	v.nic.ctr.batchPosts.Add(1)
-	if len(ds) > 1 {
-		v.nic.ctr.doorbellsSaved.Add(uint64(len(ds) - 1))
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	switch v.state {
-	case VIError:
-		return fmt.Errorf("%w (cause: %v)", ErrVIErrorState, v.errCause)
-	case VIIdle:
-		return ErrNotConnected
+	if err := v.postGateLocked(); err != nil {
+		return err
 	}
 	obs := v.nic.obs.Load()
 	for _, d := range ds {
@@ -326,28 +281,11 @@ func (v *VI) PostSend(d *Descriptor) error {
 	if err := v.checkSend(d); err != nil {
 		return err
 	}
-	v.mu.Lock()
-	if v.state != VIConnected {
-		st, cause := v.state, v.errCause
-		v.mu.Unlock()
-		if st == VIError {
-			return fmt.Errorf("%w (cause: %v)", ErrVIErrorState, cause)
-		}
-		return ErrNotConnected
+	if err := v.sendGate(); err != nil {
+		return err
 	}
-	v.sendsInFlight++
-	v.mu.Unlock()
-
-	v.chargeBuild(d)
-	if obs := v.nic.obs.Load(); obs != nil {
-		d.span = obs.trc.Begin(trace.KindDescSend, v.uid, uint64(d.TotalLength()))
-		d.postSim = v.nic.meter.Now()
-	}
-	v.nic.dispatch(v, d)
-
-	v.mu.Lock()
-	v.sendsInFlight--
-	v.mu.Unlock()
+	v.stampSend(d, v.nic.obs.Load())
+	v.nic.dispatch(v, d, nil)
 	return nil
 }
 
@@ -367,36 +305,44 @@ func (v *VI) PostSendBatch(ds []*Descriptor) error {
 			return err
 		}
 	}
-	v.mu.Lock()
-	if v.state != VIConnected {
-		st, cause := v.state, v.errCause
-		v.mu.Unlock()
-		if st == VIError {
-			return fmt.Errorf("%w (cause: %v)", ErrVIErrorState, cause)
-		}
-		return ErrNotConnected
+	if err := v.sendGate(); err != nil {
+		return err
 	}
-	v.sendsInFlight += len(ds)
-	v.mu.Unlock()
-
 	obs := v.nic.obs.Load()
 	for _, d := range ds {
-		v.chargeBuild(d)
-		if obs != nil {
-			d.span = obs.trc.Begin(trace.KindDescSend, v.uid, uint64(d.TotalLength()))
-			d.postSim = v.nic.meter.Now()
-		}
+		v.stampSend(d, obs)
 	}
-	v.nic.dispatchBatch(v, ds)
-
-	v.mu.Lock()
-	v.sendsInFlight -= len(ds)
-	v.mu.Unlock()
+	v.nic.ctr.batchPosts.Add(1)
+	v.nic.dispatch(v, ds[0], ds[1:])
 	return nil
 }
 
+// sendGate admits a send post: postGateLocked under the VI lock.  A
+// send admitted just before the VI leaves VIConnected is flushed by
+// NIC.process, so the gate need not stay closed across the dispatch.
+func (v *VI) sendGate() error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.postGateLocked()
+}
+
+// stampSend prepares an admitted send for the NIC.  An inline send pays
+// for building the descriptor image here: the CPU writes the payload
+// into it with programmed I/O, which is the price of skipping the
+// gather DMA later.  With an observer attached the descriptor's
+// lifecycle span and post time start here too.
+func (v *VI) stampSend(d *Descriptor, obs *nicObs) {
+	if d.IsInline() {
+		v.nic.meter.ChargeN(v.nic.meter.Costs.PIOPerByte, d.inlineLen)
+	}
+	if obs != nil {
+		d.span = obs.trc.Begin(trace.KindDescSend, v.uid, uint64(d.TotalLength()))
+		d.postSim = v.nic.meter.Now()
+	}
+}
+
 // checkSend validates a send-side descriptor at post time: operation,
-// inline rules (OpSend only, within the NIC's InlineMax), and the
+// inline rules (OpSend only, within MaxInlineData), and the
 // MaxTransferSize attribute.
 func (v *VI) checkSend(d *Descriptor) error {
 	switch d.Op {
@@ -408,24 +354,14 @@ func (v *VI) checkSend(d *Descriptor) error {
 		if d.Op != OpSend {
 			return fmt.Errorf("via: inline payload on %v descriptor", d.Op)
 		}
-		if max := v.nic.InlineMax(); d.inlineLen > max {
-			return fmt.Errorf("%w: %d > %d", ErrInlineTooLarge, d.inlineLen, max)
+		if d.inlineLen > MaxInlineData {
+			return fmt.Errorf("%w: %d > %d", ErrInlineTooLarge, d.inlineLen, MaxInlineData)
 		}
 	}
 	if n := d.TotalLength(); n > v.MaxTransferSize() {
 		return fmt.Errorf("%w: %d > %d", ErrTransferTooLarge, n, v.MaxTransferSize())
 	}
 	return nil
-}
-
-// chargeBuild accounts for building the descriptor image the NIC will
-// fetch.  Only inline sends pay here: the CPU writes the payload into
-// the descriptor with programmed I/O, which is the price of skipping
-// the gather DMA later.
-func (v *VI) chargeBuild(d *Descriptor) {
-	if d.IsInline() {
-		v.nic.meter.ChargeN(v.nic.meter.Costs.PIOPerByte, d.inlineLen)
-	}
 }
 
 // RecvQueueLen reports how many receive descriptors are posted.
@@ -483,10 +419,7 @@ func (v *VI) enterError(cause error) {
 		obs.viErrors.Inc()
 		obs.trc.Instant(trace.KindVIError, v.uid, uint64(len(pending)))
 	}
-	if n := len(pending); n > 0 {
-		v.nic.ctr.descFlushed.Add(uint64(n))
-	}
-	v.completeRecvBatch(pending, StatusCancelled)
+	v.flushRecvs(pending)
 	if peer != nil {
 		// Recursion terminates: the peer's peer is v, already VIError.
 		peer.enterError(cause)
@@ -515,10 +448,7 @@ func (v *VI) Reset() error {
 	v.state = VIIdle
 	v.errCause = nil
 	v.mu.Unlock()
-	if n := len(pending); n > 0 {
-		v.nic.ctr.descFlushed.Add(uint64(n))
-	}
-	v.completeRecvBatch(pending, StatusCancelled)
+	v.flushRecvs(pending)
 	v.nic.ctr.recoveries.Add(1)
 	if obs := v.nic.obs.Load(); obs != nil {
 		obs.viResets.Inc()
