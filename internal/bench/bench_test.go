@@ -379,6 +379,36 @@ func TestChaosStripeClass(t *testing.T) {
 	}
 }
 
+// TestChaosNoPinLoop runs the E17 pin-free class forty times over.  One
+// run moves 80 verified payloads through a swap storm; with the notifier
+// fired after the page image was taken, or with nothing making the
+// invalidation wait for DMA already past translation, about one run in
+// fifteen delivered a payload whose last DMA write had missed the image
+// ("silent corruption").  Forty clean runs put a reintroduction beyond
+// doubt; under -race the same runs check that no frame is read for
+// swap-out while a DMA write to it is still in flight.
+func TestChaosNoPinLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forty chaos rounds")
+	}
+	for idx, cl := range chaosClasses() {
+		if cl.name != "nopin" {
+			continue
+		}
+		for run := 0; run < 40; run++ {
+			res, err := runChaosClass(cl, idx)
+			if err != nil {
+				t.Fatalf("run %d: %v", run, err)
+			}
+			if res.ok == 0 || res.nic.IOPageFaults == 0 {
+				t.Fatalf("run %d: scoreboard %+v: the storm never reached the TPT", run, res)
+			}
+		}
+		return
+	}
+	t.Fatal("no nopin class")
+}
+
 // TestChaosBatchClass runs the E17 small-message batching class end to
 // end: exactly-once completion for every descriptor of every batch
 // under mid-batch lane and link faults, verified inline payloads, and

@@ -44,6 +44,7 @@ const (
 	chaosSeed      = 17
 	chaosRounds    = 24                // ping-pong rounds per class
 	chaosBurstMsgs = 32                // burst messages per class
+	chaosBurstEnd  = 1                 // size of the burst's end marker
 	chaosDrainMsgs = msg.RingSlots + 2 // post-fault clean messages, each way
 	chaosDeadline  = 30 * time.Second  // per-class stall watchdog
 )
@@ -428,17 +429,19 @@ func (f *chaosFabric) pingPong(cl *chaosClass) (ok, loud, degraded int, err erro
 }
 
 // burst is the msgrate-shaped soak: back-to-back small messages with a
-// concurrent receiver verifying every payload in order.
+// concurrent receiver verifying every payload in order.  The receiver
+// keeps receiving — and with that, answering the recovery handshake —
+// until a one-byte end marker arrives, which the sender sends once the
+// faults are off: a sender whose last message was delivered but whose
+// connection was left in the error state then still finds its peer.
 func (f *chaosFabric) burst(cl *chaosClass) (ok, loud, degraded int, err error) {
-	var cleanup func()
+	faultsOff := func() {}
 	if cl.beforeRound != nil {
-		cleanup = cl.beforeRound(f, 0)
-	}
-	defer func() {
-		if cleanup != nil {
-			cleanup()
+		if cleanup := cl.beforeRound(f, 0); cleanup != nil {
+			faultsOff = sync.OnceFunc(cleanup)
 		}
-	}()
+	}
+	defer faultsOff()
 	size := 512
 	if cl.burstSize > 0 {
 		size = cl.burstSize
@@ -457,11 +460,14 @@ func (f *chaosFabric) burst(cl *chaosClass) (ok, loud, degraded int, err error) 
 			return
 		}
 		defer func() { _ = f.procB.Free(dst) }()
-		for i := 0; i < chaosBurstMsgs; i++ {
+		for i := 0; ; i++ {
 			n, err := f.epB.Recv(dst)
 			if err != nil {
 				res.loud++
 				continue
+			}
+			if n == chaosBurstEnd {
+				break
 			}
 			if n != size {
 				res.err = fmt.Errorf("chaos burst: message %d delivered %d of %d", i, n, size)
@@ -491,6 +497,13 @@ func (f *chaosFabric) burst(cl *chaosClass) (ok, loud, degraded int, err error) 
 	}
 	defer func() { _ = f.procA.Free(src) }()
 	for i := 0; i < chaosBurstMsgs; i++ {
+		select {
+		case res := <-rc:
+			// The receiver only leaves early on a violation; say so now
+			// rather than send the rest to nobody and hit the watchdog.
+			return res.ok, loud + res.loud, degraded, res.err
+		default:
+		}
 		if err := src.FillPattern(byte(100 + i)); err != nil {
 			return 0, 0, 0, err
 		}
@@ -502,6 +515,20 @@ func (f *chaosFabric) burst(cl *chaosClass) (ok, loud, degraded int, err error) 
 		if serr != nil {
 			loud++
 		}
+	}
+	// Faults off (the caller detaches the injectors for good right after
+	// the burst), then the end marker: it may need a recovery handshake,
+	// never more than that.
+	faultsOff()
+	f.nicA.SetFaultInjector(nil)
+	f.agentA.SetFaultInjector(nil)
+	end, err := f.procA.Malloc(chaosBurstEnd)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer func() { _ = f.procA.Free(end) }()
+	if _, err := f.epA.Send(end, msg.Eager); err != nil {
+		return 0, loud, degraded, fmt.Errorf("chaos burst: end marker with the faults off: %w", err)
 	}
 	res := <-rc
 	if res.err != nil {

@@ -33,8 +33,9 @@ var nopinWalker = core.MustNew(core.StrategyNone)
 // when armed, so no eviction in that window is lost.
 //
 // Lock order: the mm calls onEvent under the kernel lock, so the chain
-// is k.mu → tracker.mu → tpt.mu.  Nothing ever takes these in another
-// order (the TPT never calls into the mm or the tracker).
+// is k.mu → tracker.mu → tpt.mu, then the TPT's DMA fence.  Nothing ever
+// takes these in another order (the TPT never calls into the mm or the
+// tracker, and DMA drops the fence before raising an IO fault).
 type nopinTracker struct {
 	nic *via.NIC
 
@@ -46,7 +47,7 @@ type nopinTracker struct {
 
 // onEvent is the range-notifier callback: every swap-out, unmap or
 // COW-break of a page in the registered range lands here, under the
-// kernel lock, before the frame is freed or reused.
+// kernel lock, before the page's image is taken or its frame freed.
 func (t *nopinTracker) onEvent(ev mm.NotifyEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

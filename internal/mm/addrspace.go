@@ -2,6 +2,7 @@ package mm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/caps"
 	"repro/internal/pgtable"
@@ -63,7 +64,7 @@ func (k *Kernel) CreateProcess(name string, root bool) *AddressSpace {
 		as.caps = caps.RootSet()
 	}
 	k.nextID++
-	k.procs[as.id] = as
+	k.procs = append(k.procs, as)
 	return as
 }
 
@@ -92,7 +93,9 @@ func (k *Kernel) DestroyProcess(as *AddressSpace) error {
 	as.pt = pgtable.New()
 	as.vmas = vma.Set{}
 	as.dead = true
-	delete(k.procs, as.id)
+	if i := slices.Index(k.procs, as); i >= 0 {
+		k.procs = slices.Delete(k.procs, i, i+1)
+	}
 	if len(errs) > 0 {
 		return fmt.Errorf("mm: destroy %v: %d teardown errors, first: %w", as, len(errs), errs[0])
 	}
@@ -103,17 +106,7 @@ func (k *Kernel) DestroyProcess(as *AddressSpace) error {
 func (k *Kernel) Processes() []*AddressSpace {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.processListLocked()
-}
-
-func (k *Kernel) processListLocked() []*AddressSpace {
-	out := make([]*AddressSpace, 0, len(k.procs))
-	for id := 0; id < k.nextID; id++ {
-		if as, ok := k.procs[id]; ok {
-			out = append(out, as)
-		}
-	}
-	return out
+	return slices.Clone(k.procs)
 }
 
 // HasCapability reports whether the process holds the capability.
@@ -280,7 +273,7 @@ func (k *Kernel) Fork(parent *AddressSpace, name string) (*AddressSpace, error) 
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	k.procs[child.id] = child
+	k.procs = append(k.procs, child)
 	k.charge(k.costs().KernelCall)
 	return child, nil
 }

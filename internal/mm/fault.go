@@ -163,22 +163,25 @@ func (k *Kernel) swapInLocked(as *AddressSpace, v pgtable.VPN, e pgtable.PTE, ar
 	if err != nil {
 		return err
 	}
+	keep := !write && k.swap.UseCount(slot) == 1
 	buf, err := k.phys.FrameBytes(pfn)
+	if err == nil {
+		err = k.swap.Read(slot, buf)
+	}
+	if err == nil && !keep {
+		_, err = k.swap.Free(slot)
+	}
 	if err != nil {
+		// The fault fails with the PTE still naming the slot; the frame
+		// taken for it goes back.
+		_ = k.putMappedFrameLocked(pfn)
 		return err
 	}
-	if err := k.swap.Read(slot, buf); err != nil {
-		return err
-	}
-	if !write && k.swap.UseCount(slot) == 1 {
+	if keep {
 		// Keep the image: the PTE's use of the slot transfers to the
 		// swap cache.
 		k.swapCache[pfn] = slot
 		_ = k.phys.SetFlags(pfn, phys.PGSwapCache)
-	} else {
-		if _, err := k.swap.Free(slot); err != nil {
-			return err
-		}
 	}
 	k.charge(k.costs().PageIn)
 	k.stats.MajorFaults++
@@ -219,20 +222,16 @@ func (k *Kernel) cowLocked(as *AddressSpace, v pgtable.VPN, e pgtable.PTE) error
 		return nil
 	}
 	e = cur
-	dst, err := k.phys.FrameBytes(pfn)
-	if err != nil {
-		return err
-	}
-	src, err := k.phys.FrameBytes(old)
-	if err != nil {
-		return err
-	}
-	copy(dst, src)
-	k.charge(k.costs().PageCopy)
 	// The mapping moves to the fresh copy; the old frame stays with the
-	// other sharers, so any TPT translation of it is now stale.  (The
+	// other sharers, so any TPT translation of it goes stale — told
+	// before the copy is taken, so no DMA write lands behind it.  (The
 	// sole-owner path above keeps the frame and does not notify.)
 	k.notifyPageLocked(as, v, NotifyCOW)
+	if err := k.phys.CopyPhys(pfn.Addr(), old.Addr(), phys.PageSize); err != nil {
+		_ = k.putMappedFrameLocked(pfn)
+		return err
+	}
+	k.charge(k.costs().PageCopy)
 	if err := k.putMappedFrameLocked(old); err != nil {
 		return err
 	}

@@ -106,7 +106,7 @@ type Kernel struct {
 	swap  *swapdev.Device
 	meter *simtime.Meter
 
-	procs  map[int]*AddressSpace
+	procs  []*AddressSpace // live address spaces, ascending id
 	nextID int
 
 	// swap-out rotor state: which process and where inside it the last
@@ -172,7 +172,6 @@ func NewKernel(cfg Config, meter *simtime.Meter) *Kernel {
 		phys:      phys.New(cfg.RAMPages),
 		swap:      swapdev.New(cfg.SwapPages, phys.PageSize),
 		meter:     meter,
-		procs:     make(map[int]*AddressSpace),
 		nextID:    1,
 		pageCache: make(map[phys.PFN]*cachePage),
 		swapCache: make(map[phys.PFN]swapdev.Slot),

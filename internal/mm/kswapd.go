@@ -110,7 +110,7 @@ func (k *Kernel) CheckInvariants() error {
 			return fmt.Errorf("mm: swap cache references free slot %d", slot)
 		}
 	}
-	for _, as := range k.processListLocked() {
+	for _, as := range k.procs {
 		if err := as.vmas.CheckInvariants(); err != nil {
 			return err
 		}

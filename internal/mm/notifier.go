@@ -12,14 +12,20 @@ import (
 // callback; whenever the kernel is about to take a page of that range
 // away from its current frame — swap-out, munmap/exit, mprotect to
 // PROT_NONE, or a COW break that moves the mapping to a fresh copy —
-// the callback fires once per affected page, before the old frame can
+// the callback fires once per affected page, before the page's image is
+// taken (the copy to swap, the COW copy) and so before the old frame can
 // be freed or reused.  The NIC-side subscriber clears the page's TPT
-// present bit, so DMA faults instead of touching an orphaned frame.
+// present bit and waits for DMA already past translation to drain, so
+// when the callback returns nothing writes the frame any more: later DMA
+// faults instead of touching an orphaned frame, and no DMA write lands
+// behind the image.
 //
 // Contract: callbacks run under the kernel lock and therefore MUST NOT
 // re-enter the Kernel (no faults, no registration calls).  Calling down
-// into the NIC's TPT is safe — the TPT never calls back into mm, so the
-// lock order k.mu → tpt.mu has no cycle.
+// into the NIC's TPT is safe — the TPT never calls back into mm, and DMA
+// holds the TPT's fence only while copying, never across the IO-fault
+// upcall, so the lock order k.mu → tpt.mu, k.mu → tpt.fence has no
+// cycle.
 
 // NotifyKind says why a page is losing its frame.
 type NotifyKind uint8
@@ -91,9 +97,10 @@ func (k *Kernel) UnregisterRangeNotifier(id int) {
 }
 
 // notifyPageLocked fires every notifier watching (as, v).  Callers hold
-// k.mu and call this BEFORE the page's old frame can be freed or
-// reused, so a subscriber's TPT entry is non-present by the time the
-// frame could belong to someone else.
+// k.mu and call this BEFORE the page's image is taken and its old frame
+// freed, so a subscriber's TPT entry is non-present, and its DMA
+// drained, by the time the content is captured or the frame could
+// belong to someone else.
 func (k *Kernel) notifyPageLocked(as *AddressSpace, v pgtable.VPN, kind NotifyKind) {
 	if len(k.notifiers) == 0 {
 		return

@@ -294,19 +294,15 @@ func (k *Kernel) guardWriteFaultLocked(as *AddressSpace, v pgtable.VPN, e pgtabl
 		return nil
 	}
 	e = cur
-	dst, err := k.phys.FrameBytes(pfn)
-	if err != nil {
-		return err
-	}
-	src, err := k.phys.FrameBytes(old)
-	if err != nil {
-		return err
-	}
-	copy(dst, src)
-	k.charge(k.costs().PageCopy)
 	// The mapping moves to the writer's private copy; any NIC translation
-	// of the old frame is now stale for this process.
+	// of the old frame goes stale for this process — told before the
+	// copy is taken, as in cowLocked.
 	k.notifyPageLocked(as, v, NotifyCOW)
+	if err := k.phys.CopyPhys(pfn.Addr(), old.Addr(), phys.PageSize); err != nil {
+		_ = k.putMappedFrameLocked(pfn)
+		return err
+	}
+	k.charge(k.costs().PageCopy)
 	if err := k.putMappedFrameLocked(old); err != nil {
 		return err
 	}

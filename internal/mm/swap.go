@@ -93,7 +93,7 @@ func (k *Kernel) SwapOut(batch int) int {
 }
 
 func (k *Kernel) swapOutLocked(batch int) int {
-	procs := k.processListLocked()
+	procs := k.procs
 	if len(procs) == 0 {
 		return 0
 	}
@@ -126,10 +126,8 @@ func (k *Kernel) swapOutProcessLocked(as *AddressSpace, limit int) int {
 			start = 0
 			end = as.swapScan
 		}
-		for _, area := range as.vmas.Areas() {
-			if evicted >= limit {
-				break
-			}
+		for i := 0; i < as.vmas.Len() && evicted < limit; i++ {
+			area := as.vmas.At(i)
 			if area.Flags&vma.Locked != 0 {
 				continue // swap_out_vma skips VM_LOCKED
 			}
@@ -166,68 +164,50 @@ func (k *Kernel) tryToSwapOutLocked(as *AddressSpace, v pgtable.VPN, e pgtable.P
 		_ = as.pt.Set(v, e&^pgtable.FlagAccessed)
 		return false
 	}
+	// Tell the watchers before the image is taken: once the notifier
+	// returns, no DMA is still writing the frame (see notifier.go), so
+	// what goes to swap — or what the clean path trusts is already
+	// there — is the page's final content.  If the eviction then fails
+	// the translation is merely non-present and repairs on next use.
+	k.notifyPageLocked(as, v, NotifySwapOut)
+
 	// Swap-cache fast path: a frame whose image still sits in its slot
-	// needs no device write if it stayed clean since the swap-in.
-	if slot, cached := k.swapCache[pfn]; cached {
+	// needs no device write if it stayed clean since the swap-in; the
+	// cache's slot use transfers to the PTE.  A dirty one refreshes the
+	// image in place, same slot.
+	slot, cached := k.swapCache[pfn]
+	if cached {
 		delete(k.swapCache, pfn)
 		_ = k.phys.ClearFlags(pfn, phys.PGSwapCache)
-		if e&pgtable.FlagDirty == 0 {
-			// Clean: the on-disk image is current; the cache's slot use
-			// transfers to the PTE.
-			if err := as.pt.Set(v, pgtable.MakeSwap(slot, e)); err != nil {
-				_, _ = k.swap.Free(slot)
-				return false
-			}
-			k.notifyPageLocked(as, v, NotifySwapOut)
-			_, _ = k.phys.Put(pfn)
-			k.stats.SwapOuts++
-			k.stats.SwapCacheHit++
-			return true
+	} else {
+		var err error
+		if slot, err = k.swap.Alloc(); err != nil {
+			return false // swap full: nothing this path can do
 		}
-		// Dirty: refresh the image in place, same slot.
+	}
+	clean := cached && e&pgtable.FlagDirty == 0
+	if !clean {
 		buf, err := k.phys.FrameBytes(pfn)
+		if err == nil {
+			err = k.swap.Write(slot, buf)
+		}
 		if err != nil {
 			_, _ = k.swap.Free(slot)
 			return false
 		}
-		if err := k.swap.Write(slot, buf); err != nil {
-			_, _ = k.swap.Free(slot)
-			return false
-		}
 		k.charge(k.costs().PageOut)
-		if err := as.pt.Set(v, pgtable.MakeSwap(slot, e)); err != nil {
-			_, _ = k.swap.Free(slot)
-			return false
-		}
-		k.notifyPageLocked(as, v, NotifySwapOut)
-		_, _ = k.phys.Put(pfn)
-		k.stats.SwapOuts++
-		return true
 	}
-
-	slot, err := k.swap.Alloc()
-	if err != nil {
-		return false // swap full: nothing this path can do
-	}
-	buf, err := k.phys.FrameBytes(pfn)
-	if err != nil {
-		_, _ = k.swap.Free(slot)
-		return false
-	}
-	if err := k.swap.Write(slot, buf); err != nil {
-		_, _ = k.swap.Free(slot)
-		return false
-	}
-	k.charge(k.costs().PageOut)
 	// Redirect the PTE to the swap entry, then __free_page.  If a driver
 	// raised the count, Put leaves the frame allocated — orphaned.
 	if err := as.pt.Set(v, pgtable.MakeSwap(slot, e)); err != nil {
 		_, _ = k.swap.Free(slot)
 		return false
 	}
-	k.notifyPageLocked(as, v, NotifySwapOut)
 	_, _ = k.phys.Put(pfn)
 	k.stats.SwapOuts++
+	if clean {
+		k.stats.SwapCacheHit++
+	}
 	return true
 }
 

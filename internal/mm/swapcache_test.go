@@ -2,7 +2,11 @@ package mm
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"repro/internal/pgtable"
+	"repro/internal/swapdev"
 )
 
 // evictAll ages and evicts as much as possible.
@@ -115,5 +119,38 @@ func TestSwapCacheWriteFaultNotCached(t *testing.T) {
 	}
 	if k.Stats().SwapCacheHit != 0 {
 		t.Fatal("unexpected cache hit")
+	}
+}
+
+// TestFailedSwapInReleasesFrame: a swap-in that cannot read its slot
+// (freed behind the kernel's back here; a device error in life) fails
+// the fault, and the frame it had already taken for the page goes back
+// to the free list — frames are conserved on the error path too.
+func TestFailedSwapInReleasesFrame(t *testing.T) {
+	k := smallKernel()
+	as := k.CreateProcess("p", false)
+	addr := mmapRW(t, k, as, 1)
+	if err := k.CopyToUser(as, addr, []byte("soon unreadable")); err != nil {
+		t.Fatal(err)
+	}
+	evictAll(k)
+	e, err := k.LookupPTE(as, pgtable.PageOf(addr))
+	if err != nil || !e.Swapped() {
+		t.Fatalf("page not swapped out: pte %v, err %v", e, err)
+	}
+	if _, err := k.Swap().Free(e.SwapSlot()); err != nil {
+		t.Fatal(err)
+	}
+	free := k.FreePages()
+	for _, write := range []bool{false, true} {
+		if err := k.HandleFault(as, addr, write); !errors.Is(err, swapdev.ErrFreeSlot) {
+			t.Fatalf("fault (write=%v) on a page whose slot is gone: %v", write, err)
+		}
+		if got := k.FreePages(); got != free {
+			t.Fatalf("failed swap-in (write=%v) leaked frames: %d free, %d before", write, got, free)
+		}
+		if err := k.Phys().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

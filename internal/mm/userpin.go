@@ -133,7 +133,7 @@ func (k *Kernel) OrphanFrames() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	referenced := make(map[phys.PFN]bool)
-	for _, as := range k.processListLocked() {
+	for _, as := range k.procs {
 		as.pt.Range(0, pgtable.MaxVPN+1, func(_ pgtable.VPN, e pgtable.PTE) bool {
 			if e.Present() {
 				referenced[e.PFN()] = true

@@ -308,6 +308,10 @@ type Endpoint struct {
 	// acks) out of band from the data announcements, so a sender waiting
 	// for a kResetAck or kDone never consumes a message meant for Recv.
 	rctrl chan ctrlMsg
+	// heldRctrl is a reliability message Recv has read but holds back
+	// until the data announcements sent before it are consumed (nextCtrl).
+	heldRctrl ctrlMsg
+	holding   bool
 	// credits gate this endpoint's inline sends: one token per free
 	// receive slot at the peer.  The peer refills it after reposting.
 	credits chan struct{}
@@ -489,12 +493,32 @@ func (e *Endpoint) armSend(op via.Op) *via.Descriptor {
 
 // postSlot (re)posts the ring slot's receive descriptor.
 func (e *Endpoint) postSlot(slot int) error {
-	return e.vi.PostRecv(e.armSlot(slot))
+	err := e.vi.PostRecv(e.armSlot(slot))
+	if err != nil {
+		e.ringDescs[slot] = nil // see flushReposts
+	}
+	return err
+}
+
+// takeCredit waits for a free ring slot at the peer.  With none in hand
+// on a VI already in the error state it fails instead: the ring died
+// with the connection, and only the recovery this error sets off brings
+// credits back.
+func (e *Endpoint) takeCredit() error {
+	if len(e.credits) == 0 && e.vi.State() == via.VIError {
+		return fmt.Errorf("%w: no ring credit", via.ErrVIErrorState)
+	}
+	<-e.credits
+	return nil
 }
 
 // waitDesc waits for a descriptor's completion: through the shared
-// poller when the endpoint is mux-attached, directly otherwise.
+// poller when the endpoint is mux-attached, directly otherwise.  An
+// empty ring slot (flushReposts) reads as cancelled.
 func (e *Endpoint) waitDesc(d *via.Descriptor) via.Status {
+	if d == nil {
+		return via.StatusCancelled
+	}
 	if e.opts.Mux != nil {
 		return e.opts.Mux.WaitDesc(d)
 	}
@@ -633,6 +657,17 @@ func (e *Endpoint) Send(b *proc.Buffer, p Protocol) (int, error) {
 // out-of-band reliability channel when enabled and honouring the
 // endpoint's RecvTimeout.  The timer only exists when a timeout is
 // configured; the nil channel arm never fires otherwise.
+//
+// Out of band must not mean out of order.  A sender that runs ahead
+// queues announcements of messages that have landed in the ring, then
+// the announcement of the attempt that failed, then the kReset (or
+// kAbort) that failure leads to; everything on ctrl at the moment a
+// reliability message is read was sent before it.  So the reliability
+// message is held back until ctrl is empty: the landed messages are
+// delivered, the failed attempt fails fast on its flushed slot, and only
+// then does the reset rebuild the ring.  Taken first, it would discard
+// the landed messages' announcements as stale and rewind the ring under
+// them — messages the sender was told were delivered.
 func (e *Endpoint) nextCtrl() (ctrlMsg, error) {
 	var timeout <-chan time.Time
 	if e.opts.RecvTimeout > 0 {
@@ -640,24 +675,36 @@ func (e *Endpoint) nextCtrl() (ctrlMsg, error) {
 		defer t.Stop()
 		timeout = t.C
 	}
-	var m ctrlMsg
-	if e.rel != nil {
-		// Reliability traffic (handshake, aborts) arrives out of band
-		// so it can be serviced even while data announcements queue.
+	if e.rel == nil {
 		select {
-		case m = <-e.ctrl:
-		case m = <-e.rctrl:
-		case <-timeout:
-			return ctrlMsg{}, ErrRecvTimeout
-		}
-	} else {
-		select {
-		case m = <-e.ctrl:
+		case m := <-e.ctrl:
+			return m, nil
 		case <-timeout:
 			return ctrlMsg{}, ErrRecvTimeout
 		}
 	}
-	return m, nil
+	for {
+		select {
+		case m := <-e.ctrl:
+			return m, nil
+		default:
+		}
+		if e.holding {
+			e.holding = false
+			return e.heldRctrl, nil
+		}
+		select {
+		case m := <-e.ctrl:
+			return m, nil
+		case m := <-e.rctrl:
+			if len(e.ctrl) == 0 {
+				return m, nil
+			}
+			e.heldRctrl, e.holding = m, true
+		case <-timeout:
+			return ctrlMsg{}, ErrRecvTimeout
+		}
+	}
 }
 
 // Recv receives one message into the buffer and returns its length.
@@ -778,7 +825,12 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 		if n > e.slotSize {
 			n = e.slotSize
 		}
-		<-e.credits
+		if err := e.takeCredit(); err != nil {
+			if rdma {
+				e.rdmaToken(-1)
+			}
+			return sent, err
+		}
 		var src via.Segment
 		if eager {
 			// Copy the chunk into the registered send bounce.
@@ -851,7 +903,9 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 func (e *Endpoint) sendInlineDesc(b *proc.Buffer, seq uint64) (int, error) {
 	size := b.Bytes
 	e.sendCtrl(ctrlMsg{kind: kInline, size: size, nchunks: 1, seq: seq})
-	<-e.credits
+	if err := e.takeCredit(); err != nil {
+		return 0, err
+	}
 	d := e.armSend(via.OpSend)
 	img, err := d.InlineBuf(size)
 	if err != nil {
@@ -978,8 +1032,11 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 
 // flushReposts reposts the accumulated ring slots with one batched
 // doorbell and grants the matching credits.  The pending list is
-// cleared whether or not the post succeeds (a failed batch is rebuilt
-// from scratch by the recovery handshake's repostRing).
+// cleared whether or not the post succeeds.  A connection already in
+// the error state refuses the post; the re-armed descriptors would then
+// never complete, so their slots are left empty — a wait on one fails at
+// once (waitDesc) instead of hanging — until the recovery handshake's
+// repostRing rebuilds the ring from scratch.
 func (e *Endpoint) flushReposts() error {
 	if len(e.repostSlots) == 0 {
 		return nil
@@ -988,12 +1045,15 @@ func (e *Endpoint) flushReposts() error {
 	for _, slot := range e.repostSlots {
 		e.repostDescs = append(e.repostDescs, e.armSlot(slot))
 	}
-	n := len(e.repostSlots)
-	e.repostSlots = e.repostSlots[:0]
+	slots := e.repostSlots
+	e.repostSlots = slots[:0]
 	if err := e.vi.PostRecvBatch(e.repostDescs); err != nil {
+		for _, slot := range slots {
+			e.ringDescs[slot] = nil
+		}
 		return err
 	}
-	for i := 0; i < n; i++ {
+	for range slots {
 		e.peerGrantCredit()
 	}
 	return nil

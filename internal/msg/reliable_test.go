@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/proc"
+	"repro/internal/via"
 )
 
 // newReliableCluster builds a cluster with reliability enabled on both
@@ -260,5 +261,153 @@ func TestRegcacheInvalidatedOnNICReset(t *testing.T) {
 	}
 	if got := c.epA.Cache().Stats().ResetInvalidations; got == 0 {
 		t.Fatal("reset invalidations not counted")
+	}
+}
+
+// TestReliableLaggingReceiverAfterLostCompletion is the regression test
+// for a recovery deadlock: the sender runs a full ring ahead of the
+// receiver, and the completion of the last message is lost.  The VI pair
+// is then in the error state while the receiver still has a ring of
+// landed messages to deliver; every repost it attempts is refused, so no
+// credit ever returns.  The next send used to wait for a credit for
+// ever, and the receiver — having read that send's announcement — for a
+// descriptor that was never posted; the watchdog here was the only way
+// out.  Both now fail fast into the recovery handshake.
+func TestReliableLaggingReceiverAfterLostCompletion(t *testing.T) {
+	c, inj := newReliableCluster(t, ReliabilityConfig{Seed: 9})
+	const size = 512
+	ring := c.epB.ringSlots
+	src, err := c.procA.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := c.procB.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(i int) error {
+		if err := src.FillPattern(byte(i)); err != nil {
+			return err
+		}
+		_, err := c.epA.Send(src, Eager)
+		return err
+	}
+	recv := func(i int) {
+		t.Helper()
+		if n, err := c.epB.Recv(dst); err != nil || n != size {
+			t.Fatalf("message %d: received %d bytes, err %v", i, n, err)
+		}
+		if bad, err := dst.VerifyPattern(byte(i)); err != nil || len(bad) != 0 {
+			t.Fatalf("message %d: bad pages %v, err %v", i, bad, err)
+		}
+	}
+
+	// Fill the ring but for one slot, nobody receiving.
+	for i := 1; i < ring; i++ {
+		if err := send(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last slot's completion is lost; its send waits for the ack.
+	inj.FailNth("nic.completion", uint64(ring), nil)
+	errc := make(chan error, 1)
+	go func() { errc <- send(ring) }()
+	// The receiver only starts once the fault has happened, so that every
+	// one of its reposts meets the dead connection.
+	for c.epB.vi.State() != via.VIError {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i <= ring; i++ {
+		recv(i)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("send with the lost completion: %v", err)
+	}
+	if rs := c.epA.ReliabilityStats(); rs.AckRescues != 1 {
+		t.Fatalf("sender rel stats = %+v, want one ack rescue", rs)
+	}
+
+	// The follow-up has no credit and a dead ring on both sides.
+	go func() { errc <- send(ring + 1) }()
+	recvc := make(chan error, 1)
+	go func() {
+		n, err := c.epB.Recv(dst)
+		if err == nil && n != size {
+			err = fmt.Errorf("received %d of %d bytes", n, size)
+		}
+		recvc <- err
+	}()
+	deadline := time.After(20 * time.Second)
+	for _, ch := range []chan error{errc, recvc} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("follow-up: %v", err)
+			}
+		case <-deadline:
+			t.Fatal("follow-up after a lost completion with a lagging receiver stalled")
+		}
+	}
+	if bad, err := dst.VerifyPattern(byte(ring + 1)); err != nil || len(bad) != 0 {
+		t.Fatalf("follow-up: bad pages %v, err %v", bad, err)
+	}
+	if rs := c.epA.ReliabilityStats(); rs.Recoveries != 1 {
+		t.Fatalf("follow-up send did not recover the VI pair: %+v", rs)
+	}
+}
+
+// TestReliableResetKeepsLandedMessages: a sender running ahead of its
+// receiver has two messages landed in the ring, undelivered, when its
+// third faults and it asks for a reset.  The receiver must deliver the
+// two before it rebuilds the ring — the sender was told they arrived.
+// The reset travels out of band, and taken as soon as it was readable it
+// overtook their announcements: they were discarded as stale, the ring
+// rewound, and the retransmitted third message came out of the first
+// Recv.  Which of two ready channels a select takes is random, so the
+// scenario repeats until a reintroduction cannot pass by luck.
+func TestReliableResetKeepsLandedMessages(t *testing.T) {
+	c, inj := newReliableCluster(t, ReliabilityConfig{Seed: 10})
+	const size = 512
+	src, err := c.procA.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := c.procB.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(seed byte) error {
+		if err := src.FillPattern(seed); err != nil {
+			return err
+		}
+		_, err := c.epA.Send(src, Eager)
+		return err
+	}
+	for round := 0; round < 24; round++ {
+		seed := byte(3 * round)
+		for i := byte(1); i <= 2; i++ {
+			if err := send(seed + i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inj.FailNth(via.SiteLink, inj.Stats().Ops[via.SiteLink]+1, nil)
+		errc := make(chan error, 1)
+		go func() { errc <- send(seed + 3) }()
+		// Receive only once the reset has arrived.
+		for len(c.epB.rctrl) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		for i := byte(1); i <= 3; i++ {
+			if n, err := c.epB.Recv(dst); err != nil || n != size {
+				t.Fatalf("round %d message %d: received %d bytes, err %v", round, i, n, err)
+			}
+			if bad, err := dst.VerifyPattern(seed + i); err != nil || len(bad) != 0 {
+				t.Fatalf("round %d: Recv %d did not deliver message %d (bad pages %v, err %v)", round, i, i, bad, err)
+			}
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("round %d: faulted send: %v", round, err)
+		}
+		inj.Disarm(via.SiteLink)
 	}
 }

@@ -97,7 +97,8 @@ func (f PageFlags) String() string {
 	return s
 }
 
-// Page is one entry of the page map (the mem_map_t of the paper's §2.1).
+// Page is a copy of one entry of the page map (the mem_map_t of the
+// paper's §2.1), as PageInfo returns it.
 type Page struct {
 	// Count is the reference count.  Zero means the frame is free.
 	Count int32
@@ -108,6 +109,24 @@ type Page struct {
 	// writes this field, via the Pin/Unpin methods.
 	Pins int32
 }
+
+// page is the live page-map entry.  Like Linux's mem_map it is read and
+// written with atomic operations, not under a lock.  refs packs Count
+// (low 32 bits) and Pins (high 32 bits) into one word so the rules that
+// span both — no pin on a free frame, no free with pins outstanding —
+// are decided by a single compare-and-swap.
+type page struct {
+	refs  atomic.Uint64
+	flags atomic.Uint32
+}
+
+const (
+	oneRef = 1
+	onePin = 1 << 32
+)
+
+// unpack splits a refs word into Count and Pins.
+func unpack(r uint64) (count, pins int32) { return int32(uint32(r)), int32(r >> 32) }
 
 // Stats aggregates allocator activity for the experiments.
 type Stats struct {
@@ -122,11 +141,15 @@ type Memory struct {
 	// paths pay one atomic load + branch).
 	inj atomic.Pointer[faultinject.Injector]
 
-	mu     sync.RWMutex
-	frames []byte // nframes * PageSize backing bytes
-	pages  []Page // the page map
-	free   []PFN  // LIFO free list
-	stats  Stats
+	frames []byte // nframes * PageSize backing bytes; never moves
+	pages  []page // the page map; never moves
+
+	// mu guards the free list and the statistics.  Every transition of a
+	// Count to or from zero happens under it, so "Count == 0" and "on
+	// the free list" can never be seen to disagree by CheckInvariants.
+	mu    sync.Mutex
+	free  []PFN // LIFO free list
+	stats Stats
 }
 
 // SetFaultInjector attaches (or, with nil, detaches) a fault injector
@@ -148,7 +171,7 @@ func New(nframes int) *Memory {
 	}
 	m := &Memory{
 		frames: make([]byte, nframes*PageSize),
-		pages:  make([]Page, nframes),
+		pages:  make([]page, nframes),
 		free:   make([]PFN, 0, nframes),
 	}
 	// Hand out low frames first: push in reverse so the LIFO pops 0,1,2…
@@ -181,39 +204,42 @@ func (m *Memory) Stats() Stats {
 // try_to_free_pages, exactly like get_free_pages in the kernel).
 func (m *Memory) AllocFrame() (PFN, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.free) == 0 {
 		m.stats.FailedAlloc++
+		m.mu.Unlock()
 		return NoPFN, ErrOutOfMemory
 	}
 	pfn := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
 	pg := &m.pages[pfn]
-	pg.Count = 1
-	pg.Flags = 0
-	pg.Pins = 0
+	pg.flags.Store(0)
+	pg.refs.Store(oneRef)
 	m.stats.Allocs++
-	// Zero the frame: get_free_page hands out zeroed memory.
-	b := m.frameBytes(pfn)
-	for i := range b {
-		b[i] = 0
-	}
+	m.mu.Unlock()
+	// Zero the frame: get_free_page hands out zeroed memory.  The frame
+	// is the caller's alone by now, so this needs no lock.
+	clear(m.frameBytes(pfn))
 	return pfn, nil
 }
 
 // Get increments the frame's reference count (get_page).
-func (m *Memory) Get(pfn PFN) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (m *Memory) Get(pfn PFN) error { return m.addRef(pfn, oneRef, "get") }
+
+// addRef adds oneRef or onePin to the refs word of a frame in use.
+func (m *Memory) addRef(pfn PFN, delta uint64, op string) error {
 	pg, err := m.page(pfn)
 	if err != nil {
 		return err
 	}
-	if pg.Count == 0 {
-		return fmt.Errorf("%w: get on pfn %d", ErrFrameFree, pfn)
+	for {
+		r := pg.refs.Load()
+		if uint32(r) == 0 {
+			return fmt.Errorf("%w: %s on pfn %d", ErrFrameFree, op, pfn)
+		}
+		if pg.refs.CompareAndSwap(r, r+delta) {
+			return nil
+		}
 	}
-	pg.Count++
-	return nil
 }
 
 // Put decrements the frame's reference count (__free_page) and returns
@@ -224,128 +250,95 @@ func (m *Memory) Get(pfn PFN) error {
 // whose count was raised stays allocated after the swap path "frees" it,
 // so it is never reused — but it is no longer mapped either.
 func (m *Memory) Put(pfn PFN) (freed bool, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pg, err := m.page(pfn)
 	if err != nil {
 		return false, err
 	}
-	if pg.Count <= 0 {
-		return false, fmt.Errorf("%w: put on pfn %d", ErrFrameFree, pfn)
-	}
-	pg.Count--
-	if pg.Count == 0 {
-		if pg.Pins != 0 {
+	for {
+		r := pg.refs.Load()
+		count, pins := unpack(r)
+		switch {
+		case count <= 0:
+			return false, fmt.Errorf("%w: put on pfn %d", ErrFrameFree, pfn)
+		case count > 1:
+			if pg.refs.CompareAndSwap(r, r-oneRef) {
+				return false, nil
+			}
+		case pins != 0:
 			// A pinned frame must always hold a reference; reaching zero
 			// with pins outstanding indicates a broken locking strategy.
-			pg.Count++ // restore so the invariant checker can see it
-			return false, fmt.Errorf("phys: pfn %d refcount reached zero with %d pins", pfn, pg.Pins)
+			// The count is left at one so the invariant checker can see it.
+			return false, fmt.Errorf("phys: pfn %d refcount reached zero with %d pins", pfn, pins)
+		default:
+			m.mu.Lock()
+			freed = pg.refs.CompareAndSwap(r, 0)
+			if freed {
+				pg.flags.Store(0)
+				m.free = append(m.free, pfn)
+				m.stats.Frees++
+			}
+			m.mu.Unlock()
+			if freed {
+				return true, nil
+			}
 		}
-		pg.Flags = 0
-		m.free = append(m.free, pfn)
-		m.stats.Frees++
-		return true, nil
 	}
-	return false, nil
 }
 
 // RefCount reports the frame's reference count.
-func (m *Memory) RefCount(pfn PFN) int32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(pfn) >= len(m.pages) {
-		return 0
-	}
-	return m.pages[pfn].Count
-}
+func (m *Memory) RefCount(pfn PFN) int32 { return m.peek(pfn).Count }
 
 // Flags reports the frame's PG_* flags.
-func (m *Memory) Flags(pfn PFN) PageFlags {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(pfn) >= len(m.pages) {
-		return 0
-	}
-	return m.pages[pfn].Flags
-}
+func (m *Memory) Flags(pfn PFN) PageFlags { return m.peek(pfn).Flags }
 
 // SetFlags ors the given flags into the frame's flag word.
 // Note: offering this unconditionally is deliberate — it is the unchecked
 // interface the Giganet-style driver abuses.  The kernel-internal users go
 // through the same entry point but follow the ownership protocol.
-func (m *Memory) SetFlags(pfn PFN, f PageFlags) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pg, err := m.page(pfn)
-	if err != nil {
-		return err
-	}
-	pg.Flags |= f
-	return nil
-}
+func (m *Memory) SetFlags(pfn PFN, f PageFlags) error { return m.updateFlags(pfn, f, 0) }
 
 // ClearFlags removes the given flags from the frame's flag word.
-func (m *Memory) ClearFlags(pfn PFN, f PageFlags) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (m *Memory) ClearFlags(pfn PFN, f PageFlags) error { return m.updateFlags(pfn, 0, f) }
+
+func (m *Memory) updateFlags(pfn PFN, set, clr PageFlags) error {
 	pg, err := m.page(pfn)
 	if err != nil {
 		return err
 	}
-	pg.Flags &^= f
-	return nil
+	for {
+		old := pg.flags.Load()
+		if pg.flags.CompareAndSwap(old, (old|uint32(set))&^uint32(clr)) {
+			return nil
+		}
+	}
 }
 
 // TestFlags reports whether all of the given flags are set on the frame.
-func (m *Memory) TestFlags(pfn PFN, f PageFlags) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(pfn) >= len(m.pages) {
-		return false
-	}
-	return m.pages[pfn].Flags&f == f
-}
+func (m *Memory) TestFlags(pfn PFN, f PageFlags) bool { return m.Flags(pfn)&f == f }
 
 // Pin increments the kernel pin count of the frame.  Pinned frames are
 // excluded from reclaim and swap.  Only the kiobuf facility calls this.
-func (m *Memory) Pin(pfn PFN) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pg, err := m.page(pfn)
-	if err != nil {
-		return err
-	}
-	if pg.Count == 0 {
-		return fmt.Errorf("%w: pin on pfn %d", ErrFrameFree, pfn)
-	}
-	pg.Pins++
-	return nil
-}
+func (m *Memory) Pin(pfn PFN) error { return m.addRef(pfn, onePin, "pin") }
 
 // Unpin decrements the kernel pin count of the frame.
 func (m *Memory) Unpin(pfn PFN) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pg, err := m.page(pfn)
 	if err != nil {
 		return err
 	}
-	if pg.Pins <= 0 {
-		return fmt.Errorf("phys: unpin on pfn %d with no pins", pfn)
+	for {
+		r := pg.refs.Load()
+		if int32(r>>32) <= 0 {
+			return fmt.Errorf("phys: unpin on pfn %d with no pins", pfn)
+		}
+		if pg.refs.CompareAndSwap(r, r-onePin) {
+			return nil
+		}
 	}
-	pg.Pins--
-	return nil
 }
 
 // Pins reports the frame's kernel pin count.
-func (m *Memory) Pins(pfn PFN) int32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(pfn) >= len(m.pages) {
-		return 0
-	}
-	return m.pages[pfn].Pins
-}
+func (m *Memory) Pins(pfn PFN) int32 { return m.peek(pfn).Pins }
 
 // Reclaimable reports whether the swap path may take the frame away:
 // it must be in use, unpinned, and carry neither PG_locked nor
@@ -353,42 +346,40 @@ func (m *Memory) Pins(pfn PFN) int32 {
 // is the paper's §3.1 finding: swap_out ignores the count and the count
 // only matters at the final __free_page.)
 func (m *Memory) Reclaimable(pfn PFN) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(pfn) >= len(m.pages) {
-		return false
-	}
-	pg := &m.pages[pfn]
+	pg := m.peek(pfn)
 	return pg.Count > 0 && pg.Pins == 0 && pg.Flags&(PGLocked|PGReserved) == 0
 }
 
 // PageInfo returns a copy of the page-map entry for inspection.
 func (m *Memory) PageInfo(pfn PFN) (Page, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pg, err := m.page(pfn)
-	if err != nil {
+	if _, err := m.page(pfn); err != nil {
 		return Page{}, err
 	}
-	return *pg, nil
+	return m.peek(pfn), nil
+}
+
+// peek is PageInfo with the zero Page (a free frame) for a
+// frame number out of range: plain loads, no lock.
+func (m *Memory) peek(pfn PFN) Page {
+	if int(pfn) >= len(m.pages) {
+		return Page{}
+	}
+	pg := &m.pages[pfn]
+	count, pins := unpack(pg.refs.Load())
+	return Page{Count: count, Flags: PageFlags(pg.flags.Load()), Pins: pins}
 }
 
 // ReadPhys copies len(buf) bytes starting at physical address a into buf.
 // It is the bus-master read path of the simulated NIC: no page tables, no
-// protection — exactly like real DMA.
+// protection, no lock (the frames array never moves) — concurrent bus
+// masters stream in parallel, and ordering between accesses to the same
+// bytes is the callers' problem, exactly like real DMA.
 func (m *Memory) ReadPhys(a Addr, buf []byte) error {
 	if inj := m.inj.Load(); inj != nil {
 		if err := inj.Check(faultinject.Op{Site: SiteRead, Key: uint64(a), N: len(buf)}); err != nil {
 			return err
 		}
 	}
-	// DMA data movement only needs the structural read lock (the frames
-	// array never moves): concurrent bus masters stream in parallel, as
-	// on a real memory bus, instead of serializing behind the page-map
-	// mutex.  Ordering between concurrent accesses to the same bytes is
-	// the callers' problem — exactly like hardware DMA.
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if int(a)+len(buf) > len(m.frames) {
 		return ErrBadAddr
 	}
@@ -396,16 +387,14 @@ func (m *Memory) ReadPhys(a Addr, buf []byte) error {
 	return nil
 }
 
-// WritePhys copies buf to physical address a.  The bus-master write path.
-// Like ReadPhys it holds only the structural read lock during the copy.
+// WritePhys copies buf to physical address a.  The bus-master write path,
+// lock-free like ReadPhys.
 func (m *Memory) WritePhys(a Addr, buf []byte) error {
 	if inj := m.inj.Load(); inj != nil {
 		if err := inj.Check(faultinject.Op{Site: SiteWrite, Key: uint64(a), N: len(buf)}); err != nil {
 			return err
 		}
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if int(a)+len(buf) > len(m.frames) {
 		return ErrBadAddr
 	}
@@ -416,8 +405,6 @@ func (m *Memory) WritePhys(a Addr, buf []byte) error {
 // CopyPhys copies n bytes from physical address src to physical address
 // dst within this memory (page-copy, COW, bounce buffers).
 func (m *Memory) CopyPhys(dst, src Addr, n int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if int(src)+n > len(m.frames) || int(dst)+n > len(m.frames) {
 		return ErrBadAddr
 	}
@@ -429,8 +416,6 @@ func (m *Memory) CopyPhys(dst, src Addr, n int) error {
 // treat the slice as volatile shared memory; it is exposed so the swap
 // device and page-copy paths avoid double buffering.
 func (m *Memory) FrameBytes(pfn PFN) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, err := m.page(pfn); err != nil {
 		return nil, err
 	}
@@ -451,34 +436,33 @@ func (m *Memory) CheckInvariants() error {
 		onFree[pfn] = true
 	}
 	for i := range m.pages {
-		pg := &m.pages[i]
+		count, pins := unpack(m.pages[i].refs.Load())
 		pfn := PFN(i)
 		switch {
-		case pg.Count < 0:
-			return fmt.Errorf("phys: pfn %d negative refcount %d", pfn, pg.Count)
-		case pg.Pins < 0:
-			return fmt.Errorf("phys: pfn %d negative pin count %d", pfn, pg.Pins)
-		case pg.Pins > 0 && pg.Count == 0:
+		case count < 0:
+			return fmt.Errorf("phys: pfn %d negative refcount %d", pfn, count)
+		case pins < 0:
+			return fmt.Errorf("phys: pfn %d negative pin count %d", pfn, pins)
+		case pins > 0 && count == 0:
 			return fmt.Errorf("phys: pfn %d pinned but free", pfn)
-		case pg.Count == 0 && !onFree[pfn]:
+		case count == 0 && !onFree[pfn]:
 			return fmt.Errorf("phys: pfn %d count==0 but not on free list", pfn)
-		case pg.Count > 0 && onFree[pfn]:
-			return fmt.Errorf("phys: pfn %d count==%d but on free list", pfn, pg.Count)
+		case count > 0 && onFree[pfn]:
+			return fmt.Errorf("phys: pfn %d count==%d but on free list", pfn, count)
 		}
 	}
 	return nil
 }
 
-// page validates a PFN and returns its page-map entry.  Caller holds mu.
-func (m *Memory) page(pfn PFN) (*Page, error) {
+// page validates a PFN and returns its page-map entry.
+func (m *Memory) page(pfn PFN) (*page, error) {
 	if int(pfn) >= len(m.pages) {
 		return nil, fmt.Errorf("%w: %d (of %d)", ErrBadPFN, pfn, len(m.pages))
 	}
 	return &m.pages[pfn], nil
 }
 
-// frameBytes returns the backing slice of a frame.  Caller holds mu or
-// accepts volatile semantics.
+// frameBytes returns the backing slice of a frame.
 func (m *Memory) frameBytes(pfn PFN) []byte {
 	off := int(pfn) * PageSize
 	return m.frames[off : off+PageSize : off+PageSize]

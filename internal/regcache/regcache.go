@@ -20,7 +20,6 @@
 package regcache
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -97,14 +96,47 @@ type key struct {
 // single-flight leader closes once the kernel call finishes (err is set
 // first on failure).  A materialized entry has ready == nil.
 type entry struct {
-	key     key
-	class   Class
-	region  *vipl.MemRegion
-	refs    int           // active holders (the in-flight leader counts)
-	lruElem *list.Element // position in its class's LRU list (refs==0 only)
+	key    key
+	class  Class
+	region *vipl.MemRegion
+	refs   int // active holders (the in-flight leader counts)
+
+	// idle entries (refs==0) sit on their class's LRU list through
+	// prev/next; evicted entries are handed to deregisterEvicted on a
+	// list of their own, in eviction order.
+	linked     bool
+	prev, next *entry
 
 	ready chan struct{} // single-flight: closed when registration settles
 	err   error         // single-flight: leader's failure, read after ready
+}
+
+// lruList is an intrusive list of entries, oldest first: the idle
+// entries of one class, or a batch of eviction victims.
+type lruList struct{ head, tail *entry }
+
+func (l *lruList) pushBack(e *entry) {
+	e.linked, e.prev, e.next = true, l.tail, nil
+	if l.tail != nil {
+		l.tail.next = e
+	} else {
+		l.head = e
+	}
+	l.tail = e
+}
+
+func (l *lruList) remove(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+	e.linked, e.prev, e.next = false, nil, nil
 }
 
 // Cache is a registration cache for one process's NIC handle.
@@ -126,7 +158,7 @@ type Cache struct {
 	regions map[*vipl.MemRegion]*entry
 	// One LRU list per class; eviction scans classes in order.  Under
 	// PolicyGlobalLRU every entry lives on list 0.
-	lru   [3]*list.List
+	lru   [3]lruList
 	stats Stats
 }
 
@@ -145,16 +177,12 @@ var (
 // New creates a cache over the NIC handle.  maxRegions bounds the cache
 // (0 = unbounded, rely on TPT capacity).
 func New(nic *vipl.Nic, maxRegions int) *Cache {
-	c := &Cache{
+	return &Cache{
 		nic:        nic,
 		maxRegions: maxRegions,
 		entries:    make(map[key]*entry),
 		regions:    make(map[*vipl.MemRegion]*entry),
 	}
-	for i := range c.lru {
-		c.lru[i] = list.New()
-	}
-	return c
 }
 
 // NewWithPolicy creates a cache with an explicit eviction policy.
@@ -189,9 +217,8 @@ func (c *Cache) Len() int {
 // holdLocked records another active holder of a materialized entry.
 func (c *Cache) holdLocked(e *entry, class Class) {
 	e.refs++
-	if e.lruElem != nil {
-		c.lru[c.lruIndex(e.class)].Remove(e.lruElem)
-		e.lruElem = nil
+	if e.linked {
+		c.lru[c.lruIndex(e.class)].remove(e)
 	}
 	// Reuse upgrades the class estimate (a reused "user" buffer behaves
 	// like a persistent one).
@@ -305,9 +332,9 @@ func (c *Cache) Release(r *vipl.MemRegion) error {
 		return ErrDoubleRelease
 	}
 	e.refs--
-	var victims []*entry
+	var victims *entry
 	if e.refs == 0 {
-		e.lruElem = c.lru[c.lruIndex(e.class)].PushBack(e)
+		c.lru[c.lruIndex(e.class)].pushBack(e)
 		victims = c.collectOverCapLocked()
 	}
 	c.mu.Unlock()
@@ -319,29 +346,19 @@ func (c *Cache) Release(r *vipl.MemRegion) error {
 // dropped.  In-use and in-flight regions are left alone.
 func (c *Cache) Flush() (int, error) {
 	c.mu.Lock()
-	var victims []*entry
+	var victims lruList
+	n := 0
 	for idx := range c.lru {
-		for c.lru[idx].Len() > 0 {
-			victims = append(victims, c.unlinkVictimLocked(idx))
+		for c.lru[idx].head != nil {
+			victims.pushBack(c.unlinkVictimLocked(idx))
+			n++
 		}
 	}
 	c.mu.Unlock()
 	if obs := c.obs.Load(); obs != nil {
-		obs.event(trace.KindCacheFlush, 0, len(victims))
+		obs.event(trace.KindCacheFlush, 0, n)
 	}
-
-	var firstErr error
-	for _, v := range victims {
-		if err := c.nic.DeregisterMem(v.region); err != nil {
-			c.mu.Lock()
-			c.stats.EvictErrors++
-			c.mu.Unlock()
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return len(victims), firstErr
+	return n, c.deregisterEvicted(victims.head)
 }
 
 // EnableNICResetInvalidation subscribes the cache to the NIC's
@@ -384,7 +401,7 @@ func (c *Cache) evictAny() error {
 	c.mu.Lock()
 	var victim *entry
 	for idx := range c.lru {
-		if c.lru[idx].Len() > 0 {
+		if c.lru[idx].head != nil {
 			victim = c.unlinkVictimLocked(idx)
 			break
 		}
@@ -393,27 +410,22 @@ func (c *Cache) evictAny() error {
 	if victim == nil {
 		return ErrBusy
 	}
-	if err := c.nic.DeregisterMem(victim.region); err != nil {
-		c.mu.Lock()
-		c.stats.EvictErrors++
-		c.mu.Unlock()
-		return err
-	}
-	return nil
+	return c.deregisterEvicted(victim)
 }
 
 // collectOverCapLocked unlinks idle regions beyond maxRegions (cheapest
-// class first) and returns them for deregistration outside the lock.
-func (c *Cache) collectOverCapLocked() []*entry {
+// class first) and returns them, chained through next, for
+// deregistration outside the lock.
+func (c *Cache) collectOverCapLocked() *entry {
 	if c.maxRegions <= 0 {
 		return nil
 	}
-	var victims []*entry
+	var victims lruList
 	for len(c.entries) > c.maxRegions {
 		unlinked := false
 		for idx := range c.lru {
-			if c.lru[idx].Len() > 0 {
-				victims = append(victims, c.unlinkVictimLocked(idx))
+			if c.lru[idx].head != nil {
+				victims.pushBack(c.unlinkVictimLocked(idx))
 				unlinked = true
 				break
 			}
@@ -422,15 +434,15 @@ func (c *Cache) collectOverCapLocked() []*entry {
 			break // everything in use or in flight; nothing to trim
 		}
 	}
-	return victims
+	return victims.head
 }
 
 // unlinkVictimLocked removes the least-recently-used idle entry of the
 // list from all indices.  The caller deregisters the region afterwards,
 // outside the lock.
 func (c *Cache) unlinkVictimLocked(idx int) *entry {
-	e := c.lru[idx].Remove(c.lru[idx].Front()).(*entry)
-	e.lruElem = nil
+	e := c.lru[idx].head
+	c.lru[idx].remove(e)
 	delete(c.entries, e.key)
 	delete(c.regions, e.region)
 	c.stats.Evictions++
@@ -440,16 +452,18 @@ func (c *Cache) unlinkVictimLocked(idx int) *entry {
 	return e
 }
 
-// deregisterEvicted drops evicted regions on the NIC, counting failures
-// in Stats.EvictErrors.  Runs outside the cache lock.
-func (c *Cache) deregisterEvicted(victims []*entry) {
-	if len(victims) == 0 {
-		return
-	}
+// deregisterEvicted drops a chain of evicted regions on the NIC, counting
+// failures in Stats.EvictErrors and returning the first.  Runs outside
+// the cache lock.
+func (c *Cache) deregisterEvicted(victims *entry) error {
 	var failed uint64
-	for _, v := range victims {
+	var firstErr error
+	for v := victims; v != nil; v = v.next {
 		if err := c.nic.DeregisterMem(v.region); err != nil {
 			failed++
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	if failed > 0 {
@@ -457,4 +471,5 @@ func (c *Cache) deregisterEvicted(victims []*entry) {
 		c.stats.EvictErrors += failed
 		c.mu.Unlock()
 	}
+	return firstErr
 }

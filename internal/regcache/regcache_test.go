@@ -9,6 +9,7 @@ import (
 	"repro/internal/mm"
 	"repro/internal/phys"
 	"repro/internal/proc"
+	"repro/internal/race"
 	"repro/internal/simtime"
 	"repro/internal/via"
 	"repro/internal/vipl"
@@ -320,4 +321,47 @@ func TestClassString(t *testing.T) {
 	if ClassUser.String() != "user" || ClassPersistent.String() != "persistent" || ClassLibrary.String() != "library" {
 		t.Fatal("class names wrong")
 	}
+}
+
+// TestRegisterCycleAllocBudget pins the host-side allocations of one
+// miss+evict cycle through the whole registration stack — the cache
+// entry and its single-flight channel, the vipl region, the kernel
+// agent's record, the kiobuf and its frame list, the lock and its page
+// list, the TPT region with its slot and frame lists and directory
+// entry — and of the eviction's deregistration, which allocates nothing.
+// reg_swapcold pays this 32 times per 1 MiB message.
+func TestRegisterCycleAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	const budget = 14
+	r := newRig(t, 64)
+	c := New(r.nic, 1)
+	bufs := []*proc.Buffer{r.buf(t, 16), r.buf(t, 16)}
+	i := 0
+	cycle := func() {
+		b := bufs[i%2]
+		i++
+		reg, err := c.Acquire(b, 0, b.Bytes, via.MemAttrs{}, ClassUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Release(reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm past handle 255: smaller ones box into the directory for free.
+	for w := 0; w < 300; w++ {
+		cycle()
+	}
+	before := c.Stats()
+	got := testing.AllocsPerRun(200, cycle)
+	after := c.Stats()
+	if n := after.Misses - before.Misses; n != 201 || after.Evictions-before.Evictions != n || after.Hits != before.Hits {
+		t.Fatalf("cycles were not miss+evict: %+v -> %+v", before, after)
+	}
+	if got > budget {
+		t.Fatalf("one miss+evict cycle allocates %v objects, budget %d", got, budget)
+	}
+	t.Logf("one miss+evict cycle: %v objects", got)
 }

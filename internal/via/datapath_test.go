@@ -365,7 +365,7 @@ func TestTranslateRangeExtents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exts, err := tb.translateRange(h, 0, 3*phys.PageSize, 7, nil, nil)
+	exts, _, err := tb.translateRange(h, 0, 3*phys.PageSize, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestTranslateRangeExtents(t *testing.T) {
 		}
 	}
 	// A sub-range crossing the discontinuity splits at it.
-	exts, err = tb.translateRange(h, phys.PageSize+100, phys.PageSize, 7, nil, nil)
+	exts, _, err = tb.translateRange(h, phys.PageSize+100, phys.PageSize, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,14 +391,14 @@ func TestTranslateRangeExtents(t *testing.T) {
 		t.Fatalf("split extents = %+v", exts)
 	}
 	// Out-of-range is rejected up front.
-	if _, err := tb.translateRange(h, 2*phys.PageSize, 2*phys.PageSize, 7, nil, nil); !errors.Is(err, ErrOutOfRegion) {
+	if _, _, err := tb.translateRange(h, 2*phys.PageSize, 2*phys.PageSize, 7, nil, nil); !errors.Is(err, ErrOutOfRegion) {
 		t.Fatalf("out of range: %v", err)
 	}
-	if _, err := tb.translateRange(h, 0, 8, 8, nil, nil); !errors.Is(err, ErrTagMismatch) {
+	if _, _, err := tb.translateRange(h, 0, 8, 8, nil, nil); !errors.Is(err, ErrTagMismatch) {
 		t.Fatalf("wrong tag: %v", err)
 	}
 	// Zero length resolves to no extents.
-	if exts, err := tb.translateRange(h, 0, 0, 7, nil, nil); err != nil || len(exts) != 0 {
+	if exts, _, err := tb.translateRange(h, 0, 0, 7, nil, nil); err != nil || len(exts) != 0 {
 		t.Fatalf("zero length: %v %+v", err, exts)
 	}
 }

@@ -273,6 +273,63 @@ func TestEngineLaneFaultAndStall(t *testing.T) {
 	}
 }
 
+// TestFaultedCompletionSeesErrorState pins the order inside a data-path
+// fault: the VIs enter the error state before the faulted descriptors
+// complete, so a waiter woken by the completion never reads a nil
+// ErrorCause or a still-connected State.  With the completion published
+// first the lane case failed about 1 run in 60; 600 rounds on an engine
+// lane (a second goroutine, so -race sees the hand-off) make a
+// reintroduction fail reliably.
+func TestFaultedCompletionSeesErrorState(t *testing.T) {
+	r := newRig(t)
+	inj := armRig(r, 8)
+	r.nicA.StartEngineLanes(1)
+	defer r.nicA.StopEngine()
+	hA, _ := regFrames(t, r.nicA, r.memA, 1, tagA, MemAttrs{})
+	hB, _ := regFrames(t, r.nicB, r.memB, 1, tagB, MemAttrs{})
+
+	for i := 0; i < 600; i++ {
+		// Even rounds fault in the lane (send side only); odd rounds are
+		// a length mismatch, which faults the matched receive as well.
+		laneFault := i%2 == 0
+		recvLen, wantSt, wantCause := 32, StatusLengthError, ErrLengthMismatch
+		if laneFault {
+			inj.FailProb(SiteLane, 1, nil)
+			recvLen, wantSt, wantCause = 64, StatusDMAError, ErrDMAFault
+		}
+		rd := NewDescriptor(OpRecv, Segment{Handle: hB, Offset: 0, Length: recvLen})
+		if err := r.viB.PostRecv(rd); err != nil {
+			t.Fatal(err)
+		}
+		sd := NewDescriptor(OpSend, Segment{Handle: hA, Offset: 0, Length: 64})
+		if err := r.viA.PostSend(sd); err != nil {
+			t.Fatal(err)
+		}
+		if st := sd.Wait(); st != wantSt {
+			t.Fatalf("round %d: send status %v, want %v", i, st, wantSt)
+		}
+		if st, cause := r.viA.State(), r.viA.ErrorCause(); st != VIError || !errors.Is(cause, wantCause) {
+			t.Fatalf("round %d: after the send completed: state %v, cause %v", i, st, cause)
+		}
+		if st := rd.Wait(); laneFault && st != StatusCancelled || !laneFault && st != wantSt {
+			t.Fatalf("round %d: recv status %v", i, st)
+		}
+		if st, cause := r.viB.State(), r.viB.ErrorCause(); st != VIError || !errors.Is(cause, wantCause) {
+			t.Fatalf("round %d: after the recv completed: state %v, cause %v", i, st, cause)
+		}
+		inj.Disarm(SiteLane)
+		if err := r.viA.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.viB.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.net.Connect(r.viA, r.viB); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestLaneResidentDescriptorsFlushedOnNICReset(t *testing.T) {
 	r := newRig(t)
 	inj := armRig(r, 7)

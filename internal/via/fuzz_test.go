@@ -61,7 +61,7 @@ func FuzzTranslateRange(f *testing.F) {
 		if wrongTag {
 			accessTag = tag + 1
 		}
-		exts, err := tpt.translateRange(h, off, length, accessTag, nil, nil)
+		exts, _, err := tpt.translateRange(h, off, length, accessTag, nil, nil)
 
 		if wrongTag || off < 0 || length < 0 || off+length > regLen {
 			if err == nil {

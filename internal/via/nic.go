@@ -244,11 +244,11 @@ func (n *NIC) IOFaultPolicyInEffect() IOFaultPolicy {
 // InvalidateTPTPage is the MMU-notifier downcall: the kernel is about to
 // evict (swap/unmap/COW-break) a page inside a nopin region, so its TPT
 // entry goes non-present.  Reports whether a present entry was cleared.
-// Safe to call concurrently with the data path — the edit is a
-// copy-on-write snapshot publish, and an in-flight translation that
-// loaded the prior snapshot completes against the old frame, the same
-// window a real NIC has between the invalidate MMIO and the DMA engine
-// draining.
+// Safe to call concurrently with the data path — the edit publishes a
+// clone of the region, and the call returns only after every transfer
+// that translated the old entry has finished copying (the invalidate
+// MMIO completing once the DMA engine has drained), so the caller may
+// take the page's image or free its frame straight away.
 func (n *NIC) InvalidateTPTPage(h MemHandle, page int) bool {
 	if !n.tpt.invalidatePage(h, page) {
 		return false
@@ -406,9 +406,9 @@ func (n *NIC) DMAReadLocal(h MemHandle, off int, data []byte, tag ProtectionTag)
 }
 
 // tptCopy moves len(buf) bytes between buf and registered memory.  The
-// whole page run is resolved into physically contiguous extents under a
-// single TPT read-lock acquisition (a 64-page transfer costs one lock
-// round-trip, not 64), then copied extent by extent.
+// whole page run is resolved into physically contiguous extents by one
+// lock-free directory load (a 64-page transfer costs one lookup, not
+// 64), then copied extent by extent.
 //
 // On an IO page fault (a nopin translation the kernel has invalidated)
 // recovery depends on the installed policy: fault-and-retry parks the
@@ -484,7 +484,7 @@ func (n *NIC) tptCopyFaulting(h MemHandle, off int, buf []byte, tag ProtectionTa
 // tptCopy body).
 func (n *NIC) tptCopyOnce(h MemHandle, off int, buf []byte, tag ProtectionTag, write bool, needAttr func(MemAttrs) bool) error {
 	ep := extentPool.Get().(*[]extent)
-	exts, err := n.tpt.translateRange(h, off, len(buf), tag, needAttr, (*ep)[:0])
+	exts, fenced, err := n.tpt.translateRange(h, off, len(buf), tag, needAttr, (*ep)[:0])
 	if err != nil {
 		extentPool.Put(ep)
 		return err
@@ -500,6 +500,9 @@ func (n *NIC) tptCopyOnce(h MemHandle, off int, buf []byte, tag ProtectionTag, w
 			break
 		}
 		pos += e.n
+	}
+	if fenced {
+		n.tpt.fence.RUnlock()
 	}
 	*ep = exts[:0]
 	extentPool.Put(ep)
@@ -531,7 +534,10 @@ func (n *NIC) tptCopySpec(h MemHandle, off int, buf []byte, tag ProtectionTag, w
 		return n.mem.ReadPhys(pa, buf[p.pos:p.pos+p.n])
 	}
 
-	// Pass 0: stream everything present, collect the holes.
+	// Pass 0: stream everything present, collect the holes.  Like every
+	// copy below it runs inside the DMA fence (only nopin regions get
+	// here), which is dropped before the host is called.
+	n.tpt.fence.RLock()
 	epoch, err := n.tpt.walkRange(h, off, len(buf), tag, needAttr, func(pos, page int, pa phys.Addr, cn int, present bool) {
 		p := piece{pos: pos, page: page, inPage: int(pa & phys.Addr(phys.PageMask)), n: cn,
 			frame: pa &^ phys.Addr(phys.PageMask)}
@@ -541,13 +547,12 @@ func (n *NIC) tptCopySpec(h MemHandle, off int, buf []byte, tag ProtectionTag, w
 			stale = append(stale, p)
 		}
 	})
+	for i := 0; err == nil && i < len(done); i++ {
+		err = copyPiece(&done[i])
+	}
+	n.tpt.fence.RUnlock()
 	if err != nil {
 		return err
-	}
-	for i := range done {
-		if err := copyPiece(&done[i]); err != nil {
-			return err
-		}
 	}
 	// Host-side validation: if the region epoch moved while we streamed,
 	// any piece whose translation changed joins the stale set.
@@ -591,17 +596,19 @@ func (n *NIC) tptCopySpec(h MemHandle, off int, buf []byte, tag ProtectionTag, w
 		var next []piece
 		for i := range stale {
 			p := stale[i]
+			n.tpt.fence.RLock()
 			frame, present, _, err := n.tpt.pageState(h, p.page)
+			if err == nil && present {
+				p.frame = frame
+				err = copyPiece(&p)
+			}
+			n.tpt.fence.RUnlock()
 			if err != nil {
 				return err
 			}
 			if !present {
 				next = append(next, p)
 				continue
-			}
-			p.frame = frame
-			if err := copyPiece(&p); err != nil {
-				return err
 			}
 			n.meter.ChargeN(n.meter.Costs.DMAPerByte, p.n)
 			n.ctr.specRetransmits.Add(1)
@@ -674,6 +681,8 @@ func statusForFault(err error) Status {
 		return StatusCompletionLost
 	case errors.Is(err, ErrIOPageFault):
 		return StatusIOPageFault
+	case errors.Is(err, ErrLengthMismatch):
+		return StatusLengthError
 	case errors.Is(err, ErrDMAFault), errors.Is(err, faultinject.ErrInjected):
 		// Unclassified injected errors (e.g. raw phys frame faults)
 		// surface as DMA engine faults: that is how the card sees them.
@@ -691,13 +700,25 @@ func isInjected(err error) bool { return errors.Is(err, faultinject.ErrInjected)
 // error: injected faults and unrecovered IO page faults.
 func isDataFault(err error) bool { return isInjected(err) || errors.Is(err, ErrIOPageFault) }
 
-// faultSend is the descriptor half of a data-path fault: the faulted
-// send completes with its typed status and the VI (plus peer) enters
-// the error state.
+// faultSend is the descriptor half of a data-path fault: the VI (plus
+// peer) enters the error state and the faulted send completes with its
+// typed status — in that order, so whoever the completion wakes already
+// finds State() == VIError and ErrorCause() set.  The descriptor was
+// dequeued before, so the error-state flush does not touch it.
 func (n *NIC) faultSend(v *VI, d *Descriptor, cause error) {
+	n.faultSendRecv(v, d, nil, nil, cause)
+}
+
+// faultSendRecv is faultSend for a send already matched to the peer's
+// receive rd: both complete with the fault's status, after both VIs are
+// in the error state.
+func (n *NIC) faultSendRecv(v *VI, d *Descriptor, peer *VI, rd *Descriptor, cause error) {
 	n.ctr.faults.Add(1)
-	v.completeSend(d, statusForFault(cause), 0)
 	v.enterError(cause)
+	if rd != nil {
+		peer.completeRecv(rd, statusForFault(cause), 0)
+	}
+	v.completeSend(d, statusForFault(cause), 0)
 }
 
 // linkCheck validates the wire between two NICs: fabric partitions
@@ -801,16 +822,11 @@ func (n *NIC) processSend(v, peer *VI, d *Descriptor) {
 	if rd == nil {
 		// A send with no posted receive breaks a reliable connection.
 		peer.nic.ctr.recvUnderflows.Add(1)
-		n.ctr.faults.Add(1)
-		v.completeSend(d, StatusConnectionError, 0)
-		v.enterError(ErrRecvUnderflow)
+		n.faultSend(v, d, ErrRecvUnderflow)
 		return
 	}
 	if len(payload) > rd.TotalLength() {
-		n.ctr.faults.Add(1)
-		peer.completeRecv(rd, StatusLengthError, 0)
-		v.completeSend(d, StatusLengthError, 0)
-		v.enterError(ErrLengthMismatch)
+		n.faultSendRecv(v, d, peer, rd, ErrLengthMismatch)
 		return
 	}
 	pn := peer.nic
@@ -823,8 +839,7 @@ func (n *NIC) processSend(v, peer *VI, d *Descriptor) {
 	}
 	if err := pn.scatter(peer, rd, payload); err != nil {
 		if isDataFault(err) {
-			peer.completeRecv(rd, statusForFault(err), 0)
-			n.faultSend(v, d, err)
+			n.faultSendRecv(v, d, peer, rd, err)
 			return
 		}
 		pn.ctr.tagViolations.Add(1)
@@ -873,9 +888,7 @@ func (n *NIC) processSendInline(v, peer *VI, d *Descriptor) {
 	rd := peer.popRecv()
 	if rd == nil {
 		peer.nic.ctr.recvUnderflows.Add(1)
-		n.ctr.faults.Add(1)
-		v.completeSend(d, StatusConnectionError, 0)
-		v.enterError(ErrRecvUnderflow)
+		n.faultSend(v, d, ErrRecvUnderflow)
 		return
 	}
 	// The posted receive must be able to hold the message: its buffer
@@ -885,10 +898,7 @@ func (n *NIC) processSendInline(v, peer *VI, d *Descriptor) {
 		limit = MaxInlineData
 	}
 	if len(payload) > limit {
-		n.ctr.faults.Add(1)
-		peer.completeRecv(rd, StatusLengthError, 0)
-		v.completeSend(d, StatusLengthError, 0)
-		v.enterError(ErrLengthMismatch)
+		n.faultSendRecv(v, d, peer, rd, ErrLengthMismatch)
 		return
 	}
 	rd.setInlineRecv(payload)

@@ -66,7 +66,7 @@ func TestNoPinTPTInvalidateRepair(t *testing.T) {
 		t.Fatalf("present page translate = %#x, %v", uint64(pa), err)
 	}
 	// Range translation validates the whole span before moving bytes.
-	if _, err := tb.translateRange(h, 0, 3*phys.PageSize, 5, nil, nil); !errors.Is(err, ErrIOPageFault) {
+	if _, _, err := tb.translateRange(h, 0, 3*phys.PageSize, 5, nil, nil); !errors.Is(err, ErrIOPageFault) {
 		t.Fatalf("range over hole: %v", err)
 	}
 
@@ -259,7 +259,7 @@ func TestSendCompletesIOPageFault(t *testing.T) {
 }
 
 // TestTPTConcurrentChurnRace is the regression test for the deferred
-// slot free: lock-free readers translate against whatever snapshot they
+// slot free: lock-free readers translate against whatever region they
 // loaded while writers register, invalidate, repair and deregister
 // regions whose slots are recycled through the grace list.  Run under
 // -race; premature slot reuse shows up as a data race or as a translate
@@ -295,7 +295,10 @@ func TestTPTConcurrentChurnRace(t *testing.T) {
 					t.Errorf("translate: %v", err)
 					return
 				}
-				exts, err := tb.translateRange(h, 0, npages*phys.PageSize, 9, nil, scratch[:0])
+				exts, fenced, err := tb.translateRange(h, 0, npages*phys.PageSize, 9, nil, scratch[:0])
+				if fenced {
+					tb.fence.RUnlock()
+				}
 				if err != nil {
 					if !errors.Is(err, ErrRegionReleased) && !errors.Is(err, ErrIOPageFault) {
 						t.Errorf("translateRange: %v", err)

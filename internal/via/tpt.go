@@ -50,11 +50,10 @@ type MemHandle uint32
 const NoMemHandle MemHandle = ^MemHandle(0)
 
 // region describes one registered memory region.  A region is immutable
-// once published in a snapshot: the data path reads frames directly and
-// never sees a half-built or half-torn-down registration.  Nopin
+// once published in the directory: the data path reads frames directly
+// and never sees a half-built or half-torn-down registration.  Nopin
 // invalidation and repair never mutate a published region either — they
-// clone it, edit the clone, and publish the clone under the same handle
-// (the PR-5 copy-on-write epoch machinery).
+// clone it, edit the clone, and publish the clone under the same handle.
 type region struct {
 	handle MemHandle
 	slots  []int       // TPT slot indices (writer-side capacity accounting)
@@ -116,23 +115,16 @@ func (e *IOPageFaultError) Error() string {
 
 func (e *IOPageFaultError) Unwrap() error { return ErrIOPageFault }
 
-// tptSnap is one immutable epoch of the region directory.  The data
-// path resolves translations against whichever snapshot it loads; the
-// map and every region it holds are never mutated after publication.
-type tptSnap struct {
-	regions map[MemHandle]*region
-}
-
 // tpt is the NIC's translation and protection table plus region
 // directory.  The read path (translateRange and friends) is lock-free:
-// it loads the current snapshot with one atomic pointer load and walks
-// immutable state, so concurrent DMA translations never serialize —
-// against each other or against registrations.  Registration,
-// deregistration and nopin invalidate/repair serialize on the writer
-// mutex and publish a new snapshot copy-on-write (epoch semantics: a
-// translation that loaded the previous snapshot may still complete
-// against a region being deregistered; see DESIGN.md §9 for why that
-// matches hardware).
+// one directory load yields an immutable region, so concurrent DMA
+// translations never serialize — against each other or against
+// registrations.  Registration, deregistration and nopin
+// invalidate/repair serialize on the writer mutex and publish exactly
+// the one region they touch, so their cost does not grow with the number
+// of live regions.  A translation that loaded a region just before it
+// was replaced or removed may still complete against it; see DESIGN.md
+// §9 for why that matches hardware.
 type tpt struct {
 	// inj guards data-path translations (SiteTPT); set through
 	// NIC.SetFaultInjector, nil in production.
@@ -141,8 +133,18 @@ type tpt struct {
 	// production).
 	obs atomic.Pointer[nicObs]
 
-	// snap is the published epoch the data path reads.
-	snap atomic.Pointer[tptSnap]
+	// regions is the published directory the data path reads:
+	// MemHandle → *region.  live counts its entries.
+	regions sync.Map
+	live    atomic.Int64
+
+	// fence orders nopin DMA against invalidation: a transfer into a
+	// nopin region holds it shared from before its translation until its
+	// last byte is copied, and invalidatePage passes through it
+	// exclusively after publishing the cleared present bit — so once an
+	// invalidation returns, no DMA that translated the old frame is
+	// still touching it.  Pinned regions never take it.
+	fence sync.RWMutex
 
 	// mu serializes writers (register/deregister/invalidate/repair) and
 	// guards the slot free list.  The data path never takes it; only the
@@ -152,11 +154,11 @@ type tpt struct {
 	free  []int // free slot indices (LIFO), reusable immediately
 	nextH MemHandle
 	// grace holds slots of deregistered regions for one writer epoch:
-	// a lock-free reader may still be consuming the snapshot that
-	// contained the region, so its slots must not be handed to a new
-	// registration until the snapshot excluding the region has been
-	// published and a later writer operation proves time has passed.
-	// Every writer promotes grace → free on entry.
+	// a lock-free reader may still be consuming the region it loaded
+	// before the removal, so its slots must not be handed to a new
+	// registration until the removal has been published and a later
+	// writer operation proves time has passed.  Every writer promotes
+	// grace → free on entry.
 	grace []int
 }
 
@@ -168,14 +170,13 @@ func newTPT(slots int) *tpt {
 	for i := slots - 1; i >= 0; i-- {
 		t.free = append(t.free, i)
 	}
-	t.snap.Store(&tptSnap{regions: map[MemHandle]*region{}})
 	return t
 }
 
 // promoteGraceLocked moves slots parked by an earlier deregister onto
 // the free list.  Called on entry to every writer operation: by then the
-// snapshot excluding their region has long been published, so reuse is
-// safe (the epoch-deferred free).
+// removal of their region has long been published, so reuse is safe (the
+// epoch-deferred free).
 func (t *tpt) promoteGraceLocked() {
 	if len(t.grace) > 0 {
 		t.free = append(t.free, t.grace...)
@@ -183,25 +184,15 @@ func (t *tpt) promoteGraceLocked() {
 	}
 }
 
-// publishLocked builds and publishes a new snapshot from the current one
-// with one region added or replaced (add != nil) and/or one removed
-// (del set).  Callers hold t.mu.
-func (t *tpt) publishLocked(add *region, del MemHandle, hasDel bool) {
-	old := t.snap.Load()
-	next := make(map[MemHandle]*region, len(old.regions)+1)
-	for h, r := range old.regions {
-		if hasDel && h == del {
-			continue
-		}
-		next[h] = r
+// lookup resolves a handle to its currently published region.
+func (t *tpt) lookup(h MemHandle) (*region, error) {
+	if v, ok := t.regions.Load(h); ok {
+		return v.(*region), nil
 	}
-	if add != nil {
-		next[add.handle] = add
-	}
-	t.snap.Store(&tptSnap{regions: next})
+	return nil, t.missErr(h)
 }
 
-// missErr classifies a snapshot miss.  Handles are issued monotonically
+// missErr classifies a directory miss.  Handles are issued monotonically
 // and never reused, so any handle below nextH was valid once and must
 // have been deregistered since — exact classification with no bounded
 // tombstone ring to wrap and forget (the ring misclassified every
@@ -210,9 +201,12 @@ func (t *tpt) publishLocked(add *region, del MemHandle, hasDel bool) {
 // already failed.
 func (t *tpt) missErr(h MemHandle) error {
 	t.mu.Lock()
-	released := h >= 1 && h < t.nextH
-	t.mu.Unlock()
-	if released {
+	defer t.mu.Unlock()
+	return t.missErrLocked(h)
+}
+
+func (t *tpt) missErrLocked(h MemHandle) error {
+	if h >= 1 && h < t.nextH {
 		return fmt.Errorf("%w: %d", ErrRegionReleased, h)
 	}
 	return fmt.Errorf("%w: %d", ErrBadHandle, h)
@@ -229,8 +223,8 @@ func (t *tpt) peekNextHandle() MemHandle {
 // register enters the page list into the TPT and returns a handle.
 // pages are the page-aligned physical addresses of the buffer's frames;
 // offset/length describe the byte range within them.  The new region is
-// fully built before the snapshot carrying it is published, so the data
-// path can never observe a partial registration.
+// fully built before it is published, so the data path can never observe
+// a partial registration.
 func (t *tpt) register(pages []phys.Addr, offset, length int, tag ProtectionTag, attrs MemAttrs) (MemHandle, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -259,56 +253,69 @@ func (t *tpt) register(pages []phys.Addr, offset, length int, tag ProtectionTag,
 			r.present[i/64] |= 1 << uint(i%64)
 		}
 	}
-	t.publishLocked(r, 0, false)
+	t.regions.Store(h, r)
+	t.live.Add(1)
 	return h, nil
 }
 
-// deregister removes the region from the published snapshot, reporting
-// how many TPT slots were invalidated.  The excluding snapshot is
-// published FIRST; only then are the slots parked on the grace list, so
-// a lock-free reader still consuming the prior snapshot can never race
-// a new registration writing into the same slots (see promoteGraceLocked).
-// A translation already running against the previous snapshot may still
-// complete — the same window a real NIC has between the invalidate
-// doorbell and the DMA engine's last in-flight fetch.
+// deregister removes the region from the directory, reporting how many
+// TPT slots were invalidated.  The removal is published FIRST; only then
+// are the slots parked on the grace list, so a lock-free reader still
+// consuming the region can never race a new registration writing into
+// the same slots (see promoteGraceLocked).  A translation already
+// running against the region may still complete — the same window a
+// real NIC has between the invalidate doorbell and the DMA engine's last
+// in-flight fetch.
 func (t *tpt) deregister(h MemHandle) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.promoteGraceLocked()
-	r, ok := t.snap.Load().regions[h]
+	v, ok := t.regions.LoadAndDelete(h)
 	if !ok {
-		if h >= 1 && h < t.nextH {
-			return 0, fmt.Errorf("%w: %d", ErrRegionReleased, h)
-		}
-		return 0, fmt.Errorf("%w: %d", ErrBadHandle, h)
+		return 0, t.missErrLocked(h)
 	}
-	t.publishLocked(nil, h, true)
+	t.live.Add(-1)
+	r := v.(*region)
 	t.grace = append(t.grace, r.slots...)
 	return len(r.slots), nil
 }
 
 // invalidatePage marks one page of a nopin region non-present — the
 // MMU-notifier downcall.  It publishes a cloned region with the present
-// bit cleared and the epoch advanced; in-flight translations that loaded
-// the prior snapshot may still complete, exactly like deregister.  It
-// reports whether the page was present (false also for unknown handles
-// or out-of-range pages, which arrive harmlessly when the host tears a
-// registration down concurrently with reclaim).
+// bit cleared and the epoch advanced, then passes through the DMA fence:
+// a transfer that translated the page before the publish finishes its
+// copy before invalidatePage returns, and every later one faults.  The
+// caller may therefore take the page's image, or free its frame, as
+// soon as this returns.  It reports whether the page was present (false
+// also for unknown handles or out-of-range pages, which arrive
+// harmlessly when the host tears a registration down concurrently with
+// reclaim).
 func (t *tpt) invalidatePage(h MemHandle, page int) bool {
+	if !t.clearPresent(h, page) {
+		return false
+	}
+	// Taken outside t.mu, so registrations proceed while DMA drains.
+	t.fence.Lock()
+	t.fence.Unlock()
+	return true
+}
+
+func (t *tpt) clearPresent(h MemHandle, page int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.promoteGraceLocked()
-	r, ok := t.snap.Load().regions[h]
-	if !ok || r.present == nil || page < 0 || page >= len(r.frames) {
+	v, ok := t.regions.Load(h)
+	if !ok {
 		return false
 	}
-	if !r.pagePresent(page) {
+	r := v.(*region)
+	if r.present == nil || page < 0 || page >= len(r.frames) || !r.pagePresent(page) {
 		return false
 	}
 	nr := r.clone()
 	nr.present[page/64] &^= 1 << uint(page%64)
 	nr.epoch++
-	t.publishLocked(nr, 0, false)
+	t.regions.Store(h, nr)
 	return true
 }
 
@@ -319,13 +326,11 @@ func (t *tpt) repairPage(h MemHandle, page int, pa phys.Addr) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.promoteGraceLocked()
-	r, ok := t.snap.Load().regions[h]
+	v, ok := t.regions.Load(h)
 	if !ok {
-		if h >= 1 && h < t.nextH {
-			return fmt.Errorf("%w: %d", ErrRegionReleased, h)
-		}
-		return fmt.Errorf("%w: %d", ErrBadHandle, h)
+		return t.missErrLocked(h)
 	}
+	r := v.(*region)
 	if r.present == nil {
 		return fmt.Errorf("via: repairPage on pinned region %d", h)
 	}
@@ -336,7 +341,7 @@ func (t *tpt) repairPage(h MemHandle, page int, pa phys.Addr) error {
 	nr.frames[page] = pa &^ phys.Addr(phys.PageMask)
 	nr.present[page/64] |= 1 << uint(page%64)
 	nr.epoch++
-	t.publishLocked(nr, 0, false)
+	t.regions.Store(h, nr)
 	return nil
 }
 
@@ -347,15 +352,20 @@ type extent struct {
 }
 
 // translateRange resolves the byte range [off, off+length) of a handle
-// into physically contiguous extents without taking any lock, appending
-// them to exts (pass a scratch slice to avoid allocation).  Adjacent
-// frames coalesce, so a transfer over physically contiguous pages
-// yields one extent.  The whole range is validated before any extent is
-// returned: tag, attributes, bounds and (for nopin regions) present
-// bits — a DMA either translates completely or not at all; the first
-// non-present page raises an IOPageFaultError.
-func (t *tpt) translateRange(h MemHandle, off, length int, tag ProtectionTag, needAttr func(MemAttrs) bool, exts []extent) ([]extent, error) {
-	out, err := t.translateRangeUnobserved(h, off, length, tag, needAttr, exts)
+// into physically contiguous extents, appending them to exts (pass a
+// scratch slice to avoid allocation).  Adjacent frames coalesce, so a
+// transfer over physically contiguous pages yields one extent.  The
+// whole range is validated before any extent is returned: tag,
+// attributes, bounds and (for nopin regions) present bits — a DMA either
+// translates completely or not at all; the first non-present page raises
+// an IOPageFaultError.
+//
+// A pinned region translates without taking any lock.  A nopin region
+// translates inside the DMA fence and, on success, returns with it still
+// held (fenced == true): the caller copies against the extents and then
+// releases t.fence.RUnlock, without calling into the host in between.
+func (t *tpt) translateRange(h MemHandle, off, length int, tag ProtectionTag, needAttr func(MemAttrs) bool, exts []extent) (out []extent, fenced bool, err error) {
+	out, fenced, err = t.translateRangeUnobserved(h, off, length, tag, needAttr, exts)
 	if obs := t.obs.Load(); obs != nil {
 		obs.translates.Inc()
 		if err != nil {
@@ -363,21 +373,41 @@ func (t *tpt) translateRange(h MemHandle, off, length int, tag ProtectionTag, ne
 		}
 		obs.trc.Instant(trace.KindTranslate, uint64(h), uint64(length))
 	}
-	return out, err
+	return out, fenced, err
 }
 
 // translateRangeUnobserved is translateRange without the observability
 // accounting (split out so the accounting has a single exit point).
-func (t *tpt) translateRangeUnobserved(h MemHandle, off, length int, tag ProtectionTag, needAttr func(MemAttrs) bool, exts []extent) ([]extent, error) {
+func (t *tpt) translateRangeUnobserved(h MemHandle, off, length int, tag ProtectionTag, needAttr func(MemAttrs) bool, exts []extent) ([]extent, bool, error) {
 	if inj := t.inj.Load(); inj != nil {
 		if err := inj.Check(faultinject.Op{Site: SiteTPT, Key: uint64(h), N: length}); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrTranslationFault, err)
+			return nil, false, fmt.Errorf("%w: %w", ErrTranslationFault, err)
 		}
 	}
-	r, ok := t.snap.Load().regions[h]
-	if !ok {
-		return nil, t.missErr(h)
+	r, err := t.lookup(h)
+	if err != nil {
+		return nil, false, err
 	}
+	if r.present == nil {
+		exts, err = r.extents(off, length, tag, needAttr, exts)
+		return exts, false, err
+	}
+	// Enter the fence, then load the region again: an invalidation
+	// published before we got in is seen, one published after waits.
+	t.fence.RLock()
+	if r, err = t.lookup(h); err == nil {
+		exts, err = r.extents(off, length, tag, needAttr, exts)
+	}
+	if err != nil {
+		t.fence.RUnlock()
+		return nil, false, err
+	}
+	return exts, true, nil
+}
+
+// extents validates an access against the region and resolves it (the
+// body of translateRange; r is immutable, so this takes no lock).
+func (r *region) extents(off, length int, tag ProtectionTag, needAttr func(MemAttrs) bool, exts []extent) ([]extent, error) {
 	if r.tag != tag {
 		return nil, fmt.Errorf("%w: region tag %d vs access tag %d", ErrTagMismatch, r.tag, tag)
 	}
@@ -391,7 +421,7 @@ func (t *tpt) translateRangeUnobserved(h MemHandle, off, length int, tag Protect
 	if r.present != nil {
 		for p, end := abs/phys.PageSize, (abs+length-1)/phys.PageSize; p <= end; p++ {
 			if !r.pagePresent(p) {
-				return nil, &IOPageFaultError{Handle: h, Page: p, Epoch: r.epoch}
+				return nil, &IOPageFaultError{Handle: r.handle, Page: p, Epoch: r.epoch}
 			}
 		}
 	}
@@ -421,9 +451,9 @@ func (t *tpt) translateRangeUnobserved(h MemHandle, off, length int, tag Protect
 // host-side validation.  It returns the region epoch the walk observed.
 func (t *tpt) walkRange(h MemHandle, off, length int, tag ProtectionTag, needAttr func(MemAttrs) bool,
 	fn func(bufPos, page int, pa phys.Addr, n int, present bool)) (uint64, error) {
-	r, ok := t.snap.Load().regions[h]
-	if !ok {
-		return 0, t.missErr(h)
+	r, err := t.lookup(h)
+	if err != nil {
+		return 0, err
 	}
 	if r.tag != tag {
 		return 0, fmt.Errorf("%w: region tag %d vs access tag %d", ErrTagMismatch, r.tag, tag)
@@ -454,9 +484,9 @@ func (t *tpt) walkRange(h MemHandle, off, length int, tag ProtectionTag, needAtt
 // pageState reports the current frame, present bit and epoch for one
 // page of a region — the host-side validation read of speculative DMA.
 func (t *tpt) pageState(h MemHandle, page int) (pa phys.Addr, present bool, epoch uint64, err error) {
-	r, ok := t.snap.Load().regions[h]
-	if !ok {
-		return 0, false, 0, t.missErr(h)
+	r, err := t.lookup(h)
+	if err != nil {
+		return 0, false, 0, err
 	}
 	if page < 0 || page >= len(r.frames) {
 		return 0, false, 0, fmt.Errorf("%w: page %d of %d", ErrOutOfRegion, page, len(r.frames))
@@ -469,9 +499,9 @@ func (t *tpt) pageState(h MemHandle, page int) (pa phys.Addr, present bool, epoc
 // selects the RDMA attribute an incoming remote access must additionally
 // satisfy (nil for local use).
 func (t *tpt) translate(h MemHandle, off int, tag ProtectionTag, needAttr func(MemAttrs) bool) (phys.Addr, error) {
-	r, ok := t.snap.Load().regions[h]
-	if !ok {
-		return 0, t.missErr(h)
+	r, err := t.lookup(h)
+	if err != nil {
+		return 0, err
 	}
 	if r.tag != tag {
 		return 0, fmt.Errorf("%w: region tag %d vs access tag %d", ErrTagMismatch, r.tag, tag)
@@ -491,9 +521,9 @@ func (t *tpt) translate(h MemHandle, off int, tag ProtectionTag, needAttr func(M
 
 // regionLength reports the registered length of a handle.
 func (t *tpt) regionLength(h MemHandle) (int, error) {
-	r, ok := t.snap.Load().regions[h]
-	if !ok {
-		return 0, t.missErr(h)
+	r, err := t.lookup(h)
+	if err != nil {
+		return 0, err
 	}
 	return r.length, nil
 }
@@ -501,9 +531,9 @@ func (t *tpt) regionLength(h MemHandle) (int, error) {
 // regionEpoch reports the current invalidate/repair epoch of a handle
 // (always zero for pinned regions).
 func (t *tpt) regionEpoch(h MemHandle) (uint64, error) {
-	r, ok := t.snap.Load().regions[h]
-	if !ok {
-		return 0, t.missErr(h)
+	r, err := t.lookup(h)
+	if err != nil {
+		return 0, err
 	}
 	return r.epoch, nil
 }
@@ -511,9 +541,9 @@ func (t *tpt) regionEpoch(h MemHandle) (uint64, error) {
 // presentPages reports how many of a region's pages currently have
 // valid translations (all of them for pinned regions).
 func (t *tpt) presentPages(h MemHandle) (present, total int, err error) {
-	r, ok := t.snap.Load().regions[h]
-	if !ok {
-		return 0, 0, t.missErr(h)
+	r, err := t.lookup(h)
+	if err != nil {
+		return 0, 0, err
 	}
 	total = len(r.frames)
 	if r.present == nil {
@@ -537,5 +567,5 @@ func (t *tpt) freeSlots() int {
 
 // regionCount reports how many regions are currently registered.
 func (t *tpt) regionCount() int {
-	return len(t.snap.Load().regions)
+	return int(t.live.Load())
 }

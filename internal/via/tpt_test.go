@@ -3,6 +3,8 @@ package via
 import (
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -200,4 +202,193 @@ func TestOpAndStatusStrings(t *testing.T) {
 	if VIConnected.String() != "connected" {
 		t.Fatal("state strings")
 	}
+}
+
+// checkSlotPartition verifies the writer-side slot ledger: every TPT slot
+// is in exactly one place — the free list, the grace list, or one
+// published region — and the region count matches the directory.  A slot
+// handed to a new registration while still parked on the grace list (the
+// reuse the epoch-deferred free forbids) shows up as a duplicate.
+func checkSlotPartition(t *testing.T, tb *tpt, slots int) {
+	t.Helper()
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	owner := make([]string, slots)
+	claim := func(s int, who string) {
+		if s < 0 || s >= slots {
+			t.Fatalf("slot %d out of range (%s)", s, who)
+		}
+		if owner[s] != "" {
+			t.Fatalf("slot %d held twice: %s and %s", s, owner[s], who)
+		}
+		owner[s] = who
+	}
+	for _, s := range tb.free {
+		claim(s, "free")
+	}
+	for _, s := range tb.grace {
+		claim(s, "grace")
+	}
+	regions := 0
+	tb.regions.Range(func(k, v any) bool {
+		r := v.(*region)
+		if k.(MemHandle) != r.handle || len(r.slots) != len(r.frames) {
+			t.Fatalf("directory entry %v holds region %d with %d slots for %d frames", k, r.handle, len(r.slots), len(r.frames))
+		}
+		regions++
+		for _, s := range r.slots {
+			claim(s, "region")
+		}
+		return true
+	})
+	for s, who := range owner {
+		if who == "" {
+			t.Fatalf("slot %d lost", s)
+		}
+	}
+	if regions != tb.regionCount() {
+		t.Fatalf("regionCount = %d, directory holds %d", tb.regionCount(), regions)
+	}
+}
+
+// TestTPTDirectoryChurn churns the per-region directory — register,
+// invalidate, repair, deregister, several regions live at once — against
+// concurrent translateRange, translate and walkRange, and checks what
+// per-region publication must preserve:
+//
+//   - no torn region: a reader sees, for the handle it asked for, frames
+//     that all belong to that handle (each page's original frame or its
+//     repaired one), never a mix with another registration's;
+//   - a handle below the retired watermark is ErrRegionReleased, one
+//     that was never issued is ErrBadHandle — exactly, at any time;
+//   - regionCount and the slot ledger are exact after every writer step.
+func TestTPTDirectoryChurn(t *testing.T) {
+	const (
+		slots   = 64
+		npages  = 4
+		live    = 6 // regions kept registered at once
+		iters   = 600
+		readers = 4
+	)
+	// Handles are monotone, so the frames of handle h can be a function of
+	// h: page p sits at frameOf(h, p), or one page further once repaired.
+	frameOf := func(h MemHandle, p int) phys.Addr {
+		return phys.Addr((int(h)*npages+p)*3) * phys.PageSize
+	}
+	tb := newTPT(slots)
+	var issued, retired atomic.Uint64 // handles ≤ retired are deregistered, ≤ issued exist
+	stop := make(chan struct{})
+
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			scratch := make([]extent, 0, npages)
+			checkFrame := func(h MemHandle, p int, pa phys.Addr) bool {
+				if base := frameOf(h, p); pa != base && pa != base+phys.PageSize {
+					t.Errorf("handle %d page %d translated to %#x: not a frame of this region", h, p, pa)
+					return false
+				}
+				return true
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo, hi := retired.Load(), issued.Load()
+				if hi == 0 {
+					continue
+				}
+				// A released handle, whatever else is going on.
+				if lo > 0 {
+					h := MemHandle(1 + rng.Intn(int(lo)))
+					if _, _, err := tb.translateRange(h, 0, 8, 9, nil, scratch[:0]); !errors.Is(err, ErrRegionReleased) {
+						t.Errorf("released handle %d: %v", h, err)
+						return
+					}
+				}
+				// A handle that was never issued.
+				if _, err := tb.regionLength(MemHandle(hi) + 1<<20); !errors.Is(err, ErrBadHandle) {
+					t.Errorf("never-issued handle: %v", err)
+					return
+				}
+				// A handle that is live or just gone.
+				h := MemHandle(lo + 1 + uint64(rng.Intn(int(hi-lo))))
+				exts, fenced, err := tb.translateRange(h, 0, npages*phys.PageSize, 9, nil, scratch[:0])
+				if fenced {
+					tb.fence.RUnlock()
+				}
+				switch {
+				case err == nil:
+					if len(exts) != npages {
+						t.Errorf("handle %d: %d extents for %d scattered pages", h, len(exts), npages)
+						return
+					}
+					for p, e := range exts {
+						if e.n != phys.PageSize || !checkFrame(h, p, e.addr) {
+							return
+						}
+					}
+				case errors.Is(err, ErrRegionReleased), errors.Is(err, ErrIOPageFault):
+				default:
+					t.Errorf("handle %d: %v", h, err)
+					return
+				}
+				_, err = tb.walkRange(h, 0, npages*phys.PageSize, 9, nil, func(_, p int, pa phys.Addr, _ int, _ bool) {
+					checkFrame(h, p, pa)
+				})
+				if err != nil && !errors.Is(err, ErrRegionReleased) {
+					t.Errorf("walkRange %d: %v", h, err)
+					return
+				}
+			}
+		}(w)
+	}
+
+	var window []MemHandle
+	pages := make([]phys.Addr, npages)
+	for i := 0; i < iters; i++ {
+		h := tb.peekNextHandle()
+		for p := range pages {
+			pages[p] = frameOf(h, p)
+		}
+		got, err := tb.register(pages, 0, npages*phys.PageSize, 9, MemAttrs{NoPin: i%2 == 0})
+		if err != nil || got != h {
+			t.Fatalf("register: handle %d (want %d), err %v", got, h, err)
+		}
+		issued.Store(uint64(h))
+		window = append(window, h)
+		checkSlotPartition(t, tb, slots)
+		if i%2 == 0 {
+			p := i % npages
+			if !tb.invalidatePage(h, p) {
+				t.Fatalf("invalidate of present page %d of handle %d reported absent", p, h)
+			}
+			checkSlotPartition(t, tb, slots)
+			if err := tb.repairPage(h, p, frameOf(h, p)+phys.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(window) > live {
+			old := window[0]
+			window = window[1:]
+			if n, err := tb.deregister(old); err != nil || n != npages {
+				t.Fatalf("deregister %d: %d slots, %v", old, n, err)
+			}
+			retired.Store(uint64(old))
+			if _, err := tb.deregister(old); !errors.Is(err, ErrRegionReleased) {
+				t.Fatalf("second deregister of %d: %v", old, err)
+			}
+		}
+		checkSlotPartition(t, tb, slots)
+		if got := tb.regionCount(); got != len(window) {
+			t.Fatalf("regionCount = %d with %d regions registered", got, len(window))
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -196,6 +196,10 @@ func (s *Set) Areas() []VMA {
 // Len reports the number of areas.
 func (s *Set) Len() int { return len(s.areas) }
 
+// At returns the i-th area in address order (iteration without the copy
+// Areas makes; the set must not be modified meanwhile).
+func (s *Set) At(i int) VMA { return s.areas[i] }
+
 // LockedPages reports the total number of pages in Locked areas
 // (the RLIMIT_MEMLOCK accounting input).
 func (s *Set) LockedPages() int {
