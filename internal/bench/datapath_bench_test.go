@@ -78,11 +78,12 @@ func newDPRig(tb testing.TB, nVIs, pages int) *dpRig {
 // descriptor fast path: every worker drives send/recv rounds over its
 // own VI pair on one shared NIC pair, so the TPT translation, the NIC
 // statistics and the payload buffering are the contended state.  Run
-// with -cpu 1,2,4,8 to see scaling; steady state must not allocate for
-// pooled payload sizes.
+// with -cpu 1,2,4,8 to see scaling; steady state must not allocate at
+// any size, pinned payloads stream frame to frame.  The 1 MiB case runs
+// on eight VI pairs so its rig stays at 16 MiB a side.
 func BenchmarkDataPath(b *testing.B) {
-	const maxWorkers = 64
-	for _, pages := range []int{1, 4, 16} {
+	for _, pages := range []int{1, 4, 16, 256} {
+		maxWorkers := min(64, 2048/pages)
 		b.Run(fmt.Sprintf("%dKiB", pages*phys.PageSize>>10), func(b *testing.B) {
 			r := newDPRig(b, maxWorkers, pages)
 			payload := pages * phys.PageSize

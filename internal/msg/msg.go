@@ -350,9 +350,9 @@ type Endpoint struct {
 	sendBuf *proc.Buffer
 	sendReg *vipl.MemRegion
 
-	// sendDesc is the reusable send descriptor of the eager-class paths
-	// (inline image, ring chunk, RDMA-eager write); an endpoint has at
-	// most one such send in flight.
+	// sendDesc is the endpoint's reusable send descriptor (inline image,
+	// ring chunk, RDMA-eager write, rendezvous write train); an endpoint
+	// has at most one such send in flight.
 	sendDesc *via.Descriptor
 
 	// Batched-repost scratch: slot indices accumulated by recvInline and
@@ -482,11 +482,11 @@ func (e *Endpoint) armSlot(slot int) *via.Descriptor {
 	return d
 }
 
-// armSend re-arms the endpoint's send descriptor as an op with no
-// segments; the caller adds its one segment or the inline image.
-func (e *Endpoint) armSend(op via.Op) *via.Descriptor {
+// armSend re-arms the endpoint's send descriptor as an op over segs;
+// with none, the caller fills in the inline image.
+func (e *Endpoint) armSend(op via.Op, segs ...via.Segment) *via.Descriptor {
 	d := e.rearm(e.sendDesc)
-	d.Op, d.Segs, d.Remote = op, d.Segs[:0], via.RemoteSegment{}
+	d.Op, d.Segs, d.Remote = op, append(d.Segs[:0], segs...), via.RemoteSegment{}
 	e.sendDesc = d
 	return d
 }
@@ -851,12 +851,11 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 			// into the peer's next ring slot; the receiver polls the
 			// slot flag instead of matching a receive descriptor.
 			slot := int(e.txIdx % uint64(e.ringSlots))
-			d = e.armSend(via.OpRDMAWrite)
+			d = e.armSend(via.OpRDMAWrite, src)
 			d.Remote = via.RemoteSegment{Handle: e.peerRing, Offset: slot * e.slotSize}
 		} else {
-			d = e.armSend(via.OpSend)
+			d = e.armSend(via.OpSend, src)
 		}
-		d.Segs = append(d.Segs, src)
 		if err := e.vi.PostSend(d); err != nil {
 			if rdma {
 				e.rdmaToken(-1)

@@ -245,3 +245,55 @@ func TestEagerRoundTripZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRendezvousZeroAllocs pins the allocation-free steady state of the
+// zero-copy path: a warm 1 MiB ZeroCopy send/recv over an unbounded
+// registration cache — sixteen chunks, every registration a cache hit,
+// the whole write train armed on the endpoint's one send descriptor and
+// every chunk streamed frame to frame by the NICs — allocates nothing on
+// either side.  The receiver runs on a goroutine that outlives the
+// measurement, as an application's would.
+func TestRendezvousZeroAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	const size = 1 << 20
+	c := newCluster(t, core.StrategyKiobuf, 0)
+	src, dst := mustMalloc(t, c.procA, size), mustMalloc(t, c.procB, size)
+	want := make([]byte, size)
+	stamp(want, 1)
+	if err := src.Write(0, want); err != nil {
+		t.Fatal(err)
+	}
+	recv, done := make(chan struct{}), make(chan error)
+	go func() {
+		for range recv {
+			_, err := c.epB.Recv(dst)
+			done <- err
+		}
+	}()
+	defer close(recv)
+	round := func() {
+		recv <- struct{}{}
+		if n, err := c.epA.Send(src, ZeroCopy); err != nil || n != size {
+			t.Fatalf("send = %d, %v", n, err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm: both registration caches, the send descriptor, the stream pool
+	if got := testing.AllocsPerRun(20, round); got != 0 {
+		t.Errorf("a warm %d KiB zero-copy round allocates %v objects, want 0", size>>10, got)
+	}
+	got := make([]byte, size)
+	if err := dst.Read(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("payload corrupted in transit")
+	}
+	if st := c.epA.Stats(); st.ZeroCopies == 0 || st.PipelineFallbacks != 0 {
+		t.Errorf("rounds did not all take the zero-copy path: %+v", st)
+	}
+}

@@ -207,12 +207,12 @@ func (e *Endpoint) rndvSend(b *proc.Buffer, held *vipl.MemRegion, rts ctrlMsg) e
 
 // rndvWrite moves n bytes of reg, from regOff, into the granted region
 // as a train of RDMA writes no larger than the VI's MaxTransferSize.
-// It is the only place a rendezvous payload descriptor is built; any
+// Every piece is armed here, on the endpoint's one send descriptor; any
 // refused post or failed completion is a transport failure.
 func (e *Endpoint) rndvWrite(reg *vipl.MemRegion, regOff, n int, g ctrlMsg) error {
 	piece := e.vi.MaxTransferSize()
 	for done := 0; done < n; done += piece {
-		d := via.NewDescriptor(via.OpRDMAWrite, reg.Seg(regOff+done, min(piece, n-done)))
+		d := e.armSend(via.OpRDMAWrite, reg.Seg(regOff+done, min(piece, n-done)))
 		d.Remote = via.RemoteSegment{Handle: g.handle, Offset: g.offset + done}
 		if err := e.vi.PostSend(d); err != nil {
 			return fmt.Errorf("%w: rendezvous post: %w", ErrTransport, err)

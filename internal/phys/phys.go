@@ -14,8 +14,9 @@
 //     kiobuf facility (package kiobuf).  Drivers never touch it directly;
 //     that is precisely the paper's point.
 //
-// DMA by the simulated NIC goes through ReadPhys/WritePhys using raw
-// physical addresses, bypassing all page tables — as bus-master DMA does.
+// DMA by the simulated NIC goes through ReadPhys/WritePhys/CopyFrom using
+// raw physical addresses, bypassing all page tables — as bus-master DMA
+// does.
 package phys
 
 import (
@@ -399,6 +400,30 @@ func (m *Memory) WritePhys(a Addr, buf []byte) error {
 		return ErrBadAddr
 	}
 	copy(m.frames[a:int(a)+len(buf)], buf)
+	return nil
+}
+
+// CopyFrom copies n bytes at physical address src of sm to physical
+// address dst of m (sm may be m): the bus-master path of a NIC streaming
+// between two nodes' pinned frames, one copy with no host buffer in
+// between.  It is ReadPhys on sm and WritePhys on m in one step — sm's
+// SiteRead guard, then m's SiteWrite guard, both bounds checks, and
+// nothing moves unless all four pass.
+func (m *Memory) CopyFrom(dst Addr, sm *Memory, src Addr, n int) error {
+	if inj := sm.inj.Load(); inj != nil {
+		if err := inj.Check(faultinject.Op{Site: SiteRead, Key: uint64(src), N: n}); err != nil {
+			return err
+		}
+	}
+	if inj := m.inj.Load(); inj != nil {
+		if err := inj.Check(faultinject.Op{Site: SiteWrite, Key: uint64(dst), N: n}); err != nil {
+			return err
+		}
+	}
+	if int(src)+n > len(sm.frames) || int(dst)+n > len(m.frames) {
+		return ErrBadAddr
+	}
+	copy(m.frames[dst:int(dst)+n], sm.frames[src:int(src)+n])
 	return nil
 }
 

@@ -1,11 +1,9 @@
 package via
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
-	"repro/internal/faultinject"
 	"repro/internal/trace"
 )
 
@@ -99,13 +97,7 @@ func (n *NIC) StartEngineLanes(lanes int) {
 				// of a batch drains through process, which flushes them with
 				// StatusConnectionError off the now-errored VI — every
 				// descriptor still reaches exactly one terminal status.
-				var ferr error
-				if inj := n.inj.Load(); inj != nil {
-					if err := inj.Check(faultinject.Op{Site: SiteLane, Key: item.vi.uid}); err != nil {
-						ferr = fmt.Errorf("%w: %w", ErrDMAFault, err)
-					}
-				}
-				if ferr != nil {
+				if ferr := n.guard(SiteLane, item.vi.uid, 0, ErrDMAFault); ferr != nil {
 					n.faultSend(item.vi, item.d, ferr)
 				} else {
 					n.process(item.vi, item.d)

@@ -27,6 +27,7 @@ func FuzzTranslateRange(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 255, 255, 255, 255, 16, 0, 0, 0}) // negative offset
 	f.Add([]byte{3, 77, 1, 200, 0, 0, 0, 0, 48, 0, 0})      // page-straddling range
 	f.Add([]byte{1, 0, 0, 0, 16, 0, 0, 255, 255, 255, 127}) // huge length overflows region
+	f.Add([]byte{1, 0, 0, 64, 0, 0, 0, 224, 255, 255, 255}) // negative length (-32), as a bad segment carries
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 11 {
 			t.Skip()

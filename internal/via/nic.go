@@ -14,8 +14,8 @@ import (
 
 // Fault-injection sites the NIC guards (see package faultinject).
 const (
-	// SiteDMA guards every TPT-mediated DMA copy (gather, scatter,
-	// local DMA).
+	// SiteDMA guards every TPT-mediated DMA: once per segment of either
+	// end of a transfer, and per local DMA.
 	SiteDMA = "nic.dma"
 	// SiteTPT guards data-path TPT range translations.
 	SiteTPT = "tpt.translate"
@@ -348,7 +348,8 @@ func (n *NIC) CreateVI(tag ProtectionTag) (*VI, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	v := &VI{nic: n, id: n.nextVI, uid: viUIDs.Add(1), tag: tag, maxTransfer: DefaultMaxTransferSize}
+	v := &VI{nic: n, id: n.nextVI, uid: viUIDs.Add(1), tag: tag}
+	v.maxTransfer.Store(DefaultMaxTransferSize)
 	n.nextVI++
 	n.vis[v.id] = v
 	return v, nil
@@ -405,39 +406,38 @@ func (n *NIC) DMAReadLocal(h MemHandle, off int, data []byte, tag ProtectionTag)
 	return n.tptCopy(h, off, data, tag, false, nil)
 }
 
-// tptCopy moves len(buf) bytes between buf and registered memory.  The
-// whole page run is resolved into physically contiguous extents by one
-// lock-free directory load (a 64-page transfer costs one lookup, not
-// 64), then copied extent by extent.
-//
-// On an IO page fault (a nopin translation the kernel has invalidated)
-// recovery depends on the installed policy: fault-and-retry parks the
-// transfer, raises the fault to the host handler, and re-translates
-// once the entry is repaired; speculative hands the whole transfer to
-// tptCopySpec.  Without a handler the fault propagates and completes
-// the descriptor with StatusIOPageFault.
+// tptCopy moves len(buf) bytes between buf and registered memory: a
+// transfer staged from the start, with the caller's buffer as its
+// staging (see dmaStream.resolve for the IO page fault recovery).
 func (n *NIC) tptCopy(h MemHandle, off int, buf []byte, tag ProtectionTag, write bool, needAttr func(MemAttrs) bool) error {
 	if len(buf) == 0 {
 		return nil
 	}
+	s := getStream(len(buf))
+	defer s.release()
+	s.buf, s.remote[0] = buf, Segment{h, off, len(buf)}
+	return s.resolve(dmaEnd{n, tag, s.remote[:], needAttr}, write)
+}
+
+// guard consults the fault injector at one of the NIC's sites; what it
+// injects is reported as the site's typed error.
+func (n *NIC) guard(site string, key uint64, nbytes int, as error) error {
 	if inj := n.inj.Load(); inj != nil {
-		if err := inj.Check(faultinject.Op{Site: SiteDMA, Key: uint64(h), N: len(buf)}); err != nil {
-			return fmt.Errorf("%w: %w", ErrDMAFault, err)
+		if err := inj.Check(faultinject.Op{Site: site, Key: key, N: nbytes}); err != nil {
+			return fmt.Errorf("%w: %w", as, err)
 		}
 	}
-	err := n.tptCopyOnce(h, off, buf, tag, write, needAttr)
-	if err == nil || !errors.Is(err, ErrIOPageFault) {
-		// The pinned-region fast path ends here, allocation-free: fault
-		// classification (errors.As and its escaping target) lives in the
-		// cold recovery function.
-		return err
-	}
-	return n.tptCopyFaulting(h, off, buf, tag, write, needAttr, err)
+	return nil
 }
 
 // tptCopyFaulting is the recovery slow path entered when a transfer hit
-// a non-present nopin translation.
-func (n *NIC) tptCopyFaulting(h MemHandle, off int, buf []byte, tag ProtectionTag, write bool, needAttr func(MemAttrs) bool, err error) error {
+// a non-present nopin translation; scratch is the caller's idle extent
+// list.  Recovery depends on the installed policy: fault-and-retry parks
+// the transfer, raises the fault to the host handler, and re-translates
+// once the entry is repaired; speculative hands the whole transfer to
+// tptCopySpec.  Without a handler the fault propagates and completes the
+// descriptor with StatusIOPageFault.
+func (n *NIC) tptCopyFaulting(h MemHandle, off int, buf []byte, tag ProtectionTag, write bool, needAttr func(MemAttrs) bool, err error, scratch *[]extent) error {
 	// Generous bound: every page of the transfer may fault once, plus
 	// slack for pages re-evicted between repair and resume.  Hitting it
 	// means the host is evicting faster than it repairs (livelock), and
@@ -476,158 +476,120 @@ func (n *NIC) tptCopyFaulting(h MemHandle, off int, buf []byte, tag ProtectionTa
 		if obs := n.obs.Load(); obs != nil {
 			obs.faultRetries.Inc()
 		}
-		err = n.tptCopyOnce(h, off, buf, tag, write, needAttr)
+		err = n.tptCopyOnce(h, off, buf, tag, write, needAttr, scratch)
 	}
 }
 
-// tptCopyOnce is a single translate-and-copy pass (the pre-nopin
-// tptCopy body).
-func (n *NIC) tptCopyOnce(h MemHandle, off int, buf []byte, tag ProtectionTag, write bool, needAttr func(MemAttrs) bool) error {
-	ep := extentPool.Get().(*[]extent)
-	exts, fenced, err := n.tpt.translateRange(h, off, len(buf), tag, needAttr, (*ep)[:0])
+// tptCopyOnce is a single translate-and-copy pass: the retry of a
+// fault-and-retry recovery, after the host repaired the entry.
+func (n *NIC) tptCopyOnce(h MemHandle, off int, buf []byte, tag ProtectionTag, write bool, needAttr func(MemAttrs) bool, scratch *[]extent) error {
+	exts, fenced, err := n.tpt.translateRange(h, off, len(buf), tag, needAttr, (*scratch)[:0])
 	if err != nil {
-		extentPool.Put(ep)
 		return err
 	}
-	pos := 0
-	for _, e := range exts {
-		if write {
-			err = n.mem.WritePhys(e.addr, buf[pos:pos+e.n])
-		} else {
-			err = n.mem.ReadPhys(e.addr, buf[pos:pos+e.n])
-		}
-		if err != nil {
-			break
-		}
-		pos += e.n
-	}
+	*scratch = exts[:0]
+	err = copyExtents(n.mem, exts, buf, write)
 	if fenced {
 		n.tpt.fence.RUnlock()
 	}
-	*ep = exts[:0]
-	extentPool.Put(ep)
 	return err
+}
+
+// copyExtents moves buf into (write) or out of the extents, in order.
+func copyExtents(mem *phys.Memory, exts []extent, buf []byte, write bool) (err error) {
+	for _, e := range exts {
+		if write {
+			err = mem.WritePhys(e.addr, buf[:e.n])
+		} else {
+			err = mem.ReadPhys(e.addr, buf[:e.n])
+		}
+		if err != nil {
+			return err
+		}
+		buf = buf[e.n:]
+	}
+	return nil
 }
 
 // tptCopySpec is the NP-RDMA-style speculative path: DMA proceeds
 // immediately over every page whose translation is present, then the
-// host validates the region's translation epoch; chunks whose page was
+// host validates each piece's translation; pieces whose page was
 // non-present (or whose translation changed mid-flight) are faulted in
-// and retransmitted — per-chunk wire and startup costs are charged
+// and retransmitted — per-round wire and startup costs are charged
 // again, which is exactly the cost model NP-RDMA trades against never
 // stalling the common case.
 func (n *NIC) tptCopySpec(h MemHandle, off int, buf []byte, tag ProtectionTag, write bool, needAttr func(MemAttrs) bool, handler IOFaultHandler) error {
-	type piece struct {
-		pos    int // byte position within buf
-		page   int // region page index
-		inPage int // offset within the page
-		n      int
-		frame  phys.Addr // frame the piece was copied against
-	}
-	var done []piece  // streamed this pass, pending validation
-	var stale []piece // needs fault-in + retransmit
-	copyPiece := func(p *piece) error {
-		pa := p.frame + phys.Addr(p.inPage)
-		if write {
-			return n.mem.WritePhys(pa, buf[p.pos:p.pos+p.n])
-		}
-		return n.mem.ReadPhys(pa, buf[p.pos:p.pos+p.n])
-	}
-
-	// Pass 0: stream everything present, collect the holes.  Like every
-	// copy below it runs inside the DMA fence (only nopin regions get
-	// here), which is dropped before the host is called.
-	n.tpt.fence.RLock()
-	epoch, err := n.tpt.walkRange(h, off, len(buf), tag, needAttr, func(pos, page int, pa phys.Addr, cn int, present bool) {
-		p := piece{pos: pos, page: page, inPage: int(pa & phys.Addr(phys.PageMask)), n: cn,
-			frame: pa &^ phys.Addr(phys.PageMask)}
-		if present {
-			done = append(done, p)
-		} else {
-			stale = append(stale, p)
-		}
+	type piece struct{ pos, page, inPage, n int } // buf position, region page, offset in it, bytes
+	// Round 0 offers every page-bounded piece of the transfer; each later
+	// round retransmits what the round before left stale.
+	var todo []piece
+	epoch, err := n.tpt.walkRange(h, off, len(buf), tag, needAttr, func(pos, page int, pa phys.Addr, cn int, _ bool) {
+		todo = append(todo, piece{pos, page, int(pa & phys.Addr(phys.PageMask)), cn})
 	})
-	for i := 0; err == nil && i < len(done); i++ {
-		err = copyPiece(&done[i])
-	}
-	n.tpt.fence.RUnlock()
 	if err != nil {
 		return err
 	}
-	// Host-side validation: if the region epoch moved while we streamed,
-	// any piece whose translation changed joins the stale set.
-	if cur, err := n.tpt.regionEpoch(h); err != nil {
-		return err
-	} else if cur != epoch {
-		for _, p := range done {
-			frame, present, _, err := n.tpt.pageState(h, p.page)
-			if err != nil {
-				return err
-			}
-			if !present || frame != p.frame {
-				stale = append(stale, p)
-			}
-		}
-	}
-
 	maxRounds := 4 + 4*((len(buf)+phys.PageSize-1)/phys.PageSize)
-	for round := 0; len(stale) > 0; round++ {
-		if round >= maxRounds {
+	for round := 0; len(todo) > 0; round++ {
+		if round > maxRounds {
 			return fmt.Errorf("via: speculative DMA not converging after %d rounds: %w",
-				round, &IOPageFaultError{Handle: h, Page: stale[0].page, Epoch: epoch})
+				round-1, &IOPageFaultError{Handle: h, Page: todo[0].page, Epoch: epoch})
 		}
-		n.ctr.ioPageFaults.Add(uint64(len(stale)))
-		if obs := n.obs.Load(); obs != nil {
-			for _, p := range stale {
-				obs.ioFaults.Inc()
-				obs.trc.Instant(trace.KindIOPageFault, uint64(h), uint64(p.page))
+		if round > 0 {
+			n.ctr.ioPageFaults.Add(uint64(len(todo)))
+			if obs := n.obs.Load(); obs != nil {
+				for _, p := range todo {
+					obs.ioFaults.Inc()
+					obs.trc.Instant(trace.KindIOPageFault, uint64(h), uint64(p.page))
+				}
 			}
-		}
-		// Host faults every stale page back in and repairs its entry.
-		for _, p := range stale {
-			if herr := handler(h, p.page); herr != nil {
-				return fmt.Errorf("via: IO fault handler: %w", herr)
+			// Host faults every stale page back in and repairs its entry.
+			for _, p := range todo {
+				if herr := handler(h, p.page); herr != nil {
+					return fmt.Errorf("via: IO fault handler: %w", herr)
+				}
 			}
+			// Retransmit round: one startup + wire crossing for the round,
+			// per-byte cost for the pieces carried.
+			n.meter.Charge(n.meter.Costs.DMAStartup)
+			n.meter.Charge(n.meter.Costs.WireLatency)
 		}
-		// Retransmit round: one startup + wire crossing for the round,
-		// per-byte cost for the chunks carried.
-		n.meter.Charge(n.meter.Costs.DMAStartup)
-		n.meter.Charge(n.meter.Costs.WireLatency)
-		var next []piece
-		for i := range stale {
-			p := stale[i]
+		stale := todo[:0]
+		for _, p := range todo {
+			// Every copy runs inside the DMA fence (only nopin regions get
+			// here), which is dropped before the host is called.
 			n.tpt.fence.RLock()
 			frame, present, _, err := n.tpt.pageState(h, p.page)
 			if err == nil && present {
-				p.frame = frame
-				err = copyPiece(&p)
+				err = copyExtents(n.mem, []extent{{frame + phys.Addr(p.inPage), p.n}}, buf[p.pos:], write)
 			}
 			n.tpt.fence.RUnlock()
 			if err != nil {
 				return err
 			}
+			if present && round > 0 {
+				n.meter.ChargeN(n.meter.Costs.DMAPerByte, p.n)
+				n.ctr.specRetransmits.Add(1)
+				n.ctr.retransmitBytes.Add(uint64(p.n))
+				if obs := n.obs.Load(); obs != nil {
+					obs.specRetransmits.Inc()
+					obs.trc.Instant(trace.KindSpecRetransmit, uint64(h), uint64(p.n))
+				}
+			}
+			// Host-side validation: a page evicted or re-entered while it
+			// was copied goes another round.
+			if present {
+				frame2, present2, _, err := n.tpt.pageState(h, p.page)
+				if err != nil {
+					return err
+				}
+				present = present2 && frame2 == frame
+			}
 			if !present {
-				next = append(next, p)
-				continue
-			}
-			n.meter.ChargeN(n.meter.Costs.DMAPerByte, p.n)
-			n.ctr.specRetransmits.Add(1)
-			n.ctr.retransmitBytes.Add(uint64(p.n))
-			if obs := n.obs.Load(); obs != nil {
-				obs.specRetransmits.Inc()
-				obs.trc.Instant(trace.KindSpecRetransmit, uint64(h), uint64(p.n))
-			}
-			// Validate the retransmit too: a page re-evicted mid-copy
-			// goes another round.
-			frame2, present2, _, err := n.tpt.pageState(h, p.page)
-			if err != nil {
-				return err
-			}
-			if !present2 || frame2 != frame {
-				next = append(next, p)
+				stale = append(stale, p)
 			}
 		}
-		stale = next
+		todo = stale
 	}
 	return nil
 }
@@ -654,16 +616,12 @@ func (n *NIC) process(v *VI, d *Descriptor) {
 		return
 	}
 	switch d.Op {
-	case OpSend:
-		if d.IsInline() {
+	case OpSend, OpRDMAWrite, OpRDMARead:
+		if d.IsInline() { // sends only: checkSend
 			n.processSendInline(v, peer, d)
 			return
 		}
-		n.processSend(v, peer, d)
-	case OpRDMAWrite:
-		n.processRDMAWrite(v, peer, d)
-	case OpRDMARead:
-		n.processRDMARead(v, peer, d)
+		n.processData(v, peer, d)
 	default:
 		v.completeSend(d, StatusProtectionError, 0)
 	}
@@ -727,152 +685,159 @@ func (n *NIC) linkCheck(peer *VI) error {
 	if nw := n.nw.Load(); nw != nil && !nw.linkUp(n, peer.nic) {
 		return fmt.Errorf("%w: %s <-> %s partitioned", ErrLinkDown, n.name, peer.nic.name)
 	}
-	if inj := n.inj.Load(); inj != nil {
-		if err := inj.Check(faultinject.Op{Site: SiteLink, Key: peer.uid}); err != nil {
-			return fmt.Errorf("%w: %w", ErrLinkDown, err)
-		}
-	}
-	return nil
+	return n.guard(SiteLink, peer.uid, 0, ErrLinkDown)
 }
 
-// completionCheck models the final completion write-back; an injected
-// fault here is a dropped completion.
-func (n *NIC) completionCheck(v *VI) error {
-	if inj := n.inj.Load(); inj != nil {
-		if err := inj.Check(faultinject.Op{Site: SiteCompletion, Key: v.uid}); err != nil {
-			return fmt.Errorf("%w: %w", ErrCompletionDropped, err)
-		}
+// failSend ends a send whose data movement failed at the NIC at: a data
+// fault faults the VI; anything else is a protection error counted where
+// the check failed.  rd, when non-nil, is the peer's matched receive.
+func (n *NIC) failSend(at *NIC, v *VI, d *Descriptor, peer *VI, rd *Descriptor, err error) {
+	if isDataFault(err) {
+		n.faultSendRecv(v, d, peer, rd, err)
+		return
 	}
-	return nil
+	at.ctr.tagViolations.Add(1)
+	if rd != nil {
+		peer.completeRecv(rd, StatusProtectionError, 0)
+	}
+	v.completeSend(d, StatusProtectionError, 0)
 }
 
-// gather collects a descriptor's local segments through the TPT into a
-// pooled payload buffer.  The caller must release the returned token
-// with PutPayload once the payload is no longer referenced.
-func (n *NIC) gather(v *VI, d *Descriptor) ([]byte, *PayloadBuf, error) {
-	total := d.TotalLength()
-	if total == 0 {
-		return nil, nil, nil
+// matchRecv takes the peer's next receive descriptor for a send of total
+// bytes, or faults the send and returns nil: a send with no posted
+// receive breaks a reliable connection, and so does one the receive
+// cannot hold — its buffer length for a scatter-backed receive, the
+// inline image for a bare one matched by an inline send.
+func (n *NIC) matchRecv(v, peer *VI, d *Descriptor, total int) *Descriptor {
+	rd := peer.popRecv()
+	if rd == nil {
+		peer.nic.ctr.recvUnderflows.Add(1)
+		n.faultSend(v, d, ErrRecvUnderflow)
+		return nil
 	}
-	buf, pb := GetPayload(total)
-	pos := 0
-	for _, s := range d.Segs {
-		if err := n.tptCopy(s.Handle, s.Offset, buf[pos:pos+s.Length], v.tag, false, nil); err != nil {
-			PutPayload(pb)
-			return nil, nil, err
-		}
-		pos += s.Length
+	limit := rd.TotalLength()
+	if d.IsInline() && len(rd.Segs) == 0 {
+		limit = MaxInlineData
 	}
-	return buf, pb, nil
+	if total > limit {
+		n.faultSendRecv(v, d, peer, rd, ErrLengthMismatch)
+		return nil
+	}
+	return rd
 }
 
-// scatter distributes payload into a descriptor's local segments.
-func (n *NIC) scatter(v *VI, d *Descriptor, payload []byte) error {
-	pos := 0
-	for _, s := range d.Segs {
-		if pos >= len(payload) {
-			break
-		}
-		chunk := s.Length
-		if chunk > len(payload)-pos {
-			chunk = len(payload) - pos
-		}
-		if err := n.tptCopy(s.Handle, s.Offset, payload[pos:pos+chunk], v.tag, true, nil); err != nil {
-			return err
-		}
-		pos += chunk
+// finish completes a descriptor whose payload has landed: the matched
+// receive rd first (sends only), then the completion write-back, which
+// SiteCompletion guards.  If that is dropped the receiver has completed
+// all the same: the error machine flushes the descriptor so it still
+// terminates, and the retransmit a reliability layer then issues is the
+// duplicate its idempotence handling must absorb.  It reports whether d
+// succeeded.
+func (n *NIC) finish(v, peer *VI, d, rd *Descriptor, total int) bool {
+	if rd != nil {
+		rd.Immediate, rd.HasImmediate = d.Immediate, d.HasImmediate
+		peer.completeRecv(rd, StatusSuccess, total)
 	}
-	return nil
+	if err := n.guard(SiteCompletion, v.uid, 0, ErrCompletionDropped); err != nil {
+		n.faultSend(v, d, err)
+		return false
+	}
+	v.completeSend(d, StatusSuccess, total)
+	if rd != nil {
+		n.ctr.sends.Add(1)
+		peer.nic.ctr.recvs.Add(1)
+	}
+	return true
 }
 
-// processSend implements the two-sided send/receive path: gather locally,
-// cross the wire, match the peer's receive descriptor, scatter remotely.
-func (n *NIC) processSend(v, peer *VI, d *Descriptor) {
+// processData executes a send, an RDMA write or an RDMA read.  All three
+// resolve the source end, cross the wire, resolve the destination end
+// and stream the payload into it; they differ only in where the ends
+// are.  A send lands in the peer's matched receive descriptor.  The RDMA
+// operations name remote registered memory instead, checked against the
+// peer's tag and the region's RDMA attribute at the remote NIC, and
+// consume no remote descriptor; a read streams towards the poster, once
+// its request has crossed the wire.
+func (n *NIC) processData(v, peer *VI, d *Descriptor) {
 	sc := n.stageStart()
-	payload, pb, err := n.gather(v, d)
-	if err != nil {
-		if isDataFault(err) {
+	s := getStream(d.TotalLength())
+	defer s.release()
+	// d belongs to its poster again once it completes: op outlives it.
+	op, pn := d.Op, peer.nic
+	read := op == OpRDMARead
+	s.remote[0] = Segment{d.Remote.Handle, d.Remote.Offset, s.total}
+	src, dst := dmaEnd{n, v.tag, d.Segs, nil}, dmaEnd{pn, peer.tag, s.remote[:], rdmaWritable}
+	if read {
+		src, dst = dmaEnd{pn, peer.tag, s.remote[:], rdmaReadable}, src
+		if err := n.linkCheck(peer); err != nil {
 			n.faultSend(v, d, err)
 			return
 		}
-		n.ctr.tagViolations.Add(1)
-		v.completeSend(d, StatusProtectionError, 0)
+		n.meter.Charge(n.meter.Costs.WireLatency) // request
+	}
+	if err := s.resolve(src, false); err != nil {
+		n.failSend(src.nic, v, d, nil, nil, err)
 		return
 	}
-	defer PutPayload(pb)
-	if err := n.linkCheck(peer); err != nil {
-		n.faultSend(v, d, err)
-		return
+	if !read {
+		if err := n.linkCheck(peer); err != nil {
+			n.faultSend(v, d, err)
+			return
+		}
 	}
-	if payload == nil && d.HasImmediate {
+	if op == OpSend && s.total == 0 && d.HasImmediate {
 		// Immediate-only fast path: the four data bytes ride inside the
 		// descriptor, so the second DMA action (the data fetch) is saved
 		// entirely — the optimization the VIA spec provides for tiny
 		// payloads.
 		n.ctr.immediateOnly.Add(1)
 	} else {
-		n.meter.Charge(n.meter.Costs.DMAStartup)
-		n.meter.ChargeN(n.meter.Costs.DMAPerByte, len(payload))
+		m := src.nic.meter
+		m.Charge(m.Costs.DMAStartup)
+		m.ChargeN(m.Costs.DMAPerByte, s.total)
 	}
-	sc.mark(trace.KindDMA, len(payload))
+	sc.mark(trace.KindDMA, s.total)
 	n.meter.Charge(n.meter.Costs.WireLatency)
-	sc.mark(trace.KindWire, len(payload))
+	sc.mark(trace.KindWire, s.total)
 
-	rd := peer.popRecv()
-	if rd == nil {
-		// A send with no posted receive breaks a reliable connection.
-		peer.nic.ctr.recvUnderflows.Add(1)
-		n.faultSend(v, d, ErrRecvUnderflow)
-		return
-	}
-	if len(payload) > rd.TotalLength() {
-		n.faultSendRecv(v, d, peer, rd, ErrLengthMismatch)
-		return
-	}
-	pn := peer.nic
-	// Cut-through delivery: the receiver's DMA engine streams the payload
-	// as it arrives, overlapping the sender's transfer, so only the
-	// startup cost adds latency (per-byte time was charged at the sender).
-	// Immediate-only messages skip the data DMA on this side too.
-	if len(payload) > 0 {
-		pn.meter.Charge(pn.meter.Costs.DMAStartup)
-	}
-	if err := pn.scatter(peer, rd, payload); err != nil {
-		if isDataFault(err) {
-			n.faultSendRecv(v, d, peer, rd, err)
+	var rd *Descriptor
+	if op == OpSend {
+		if rd = n.matchRecv(v, peer, d, s.total); rd == nil {
 			return
 		}
-		pn.ctr.tagViolations.Add(1)
-		peer.completeRecv(rd, StatusProtectionError, 0)
-		v.completeSend(d, StatusProtectionError, 0)
+		dst.segs, dst.need = rd.Segs, nil
+		// Cut-through delivery: the receiver's DMA engine streams the
+		// payload as it arrives, overlapping the sender's transfer, so only
+		// the startup cost adds latency (per-byte time was charged at the
+		// sender).  Immediate-only messages skip the data DMA here too.
+		if s.total > 0 {
+			pn.meter.Charge(pn.meter.Costs.DMAStartup)
+		}
+	}
+	if err := s.resolve(dst, true); err != nil {
+		n.failSend(dst.nic, v, d, peer, rd, err)
 		return
 	}
-	sc.mark(trace.KindScatter, len(payload))
-	rd.Immediate = d.Immediate
-	rd.HasImmediate = d.HasImmediate
-	peer.completeRecv(rd, StatusSuccess, len(payload))
-	if err := n.completionCheck(v); err != nil {
-		// The payload landed and the receiver completed, but the
-		// sender's completion was dropped: the error machine flushes
-		// the descriptor so it still terminates.  The retransmit a
-		// reliability layer then issues is the duplicate its
-		// idempotence handling must absorb.
-		n.faultSend(v, d, err)
+	sc.mark(trace.KindScatter, s.total)
+	if !n.finish(v, peer, d, rd, s.total) {
 		return
 	}
-	v.completeSend(d, StatusSuccess, len(payload))
-	n.ctr.sends.Add(1)
-	n.ctr.bytesTX.Add(uint64(len(payload)))
-	pn.ctr.recvs.Add(1)
-	pn.ctr.bytesRX.Add(uint64(len(payload)))
+	switch op {
+	case OpRDMAWrite:
+		n.ctr.rdmaWrites.Add(1)
+	case OpRDMARead:
+		n.ctr.rdmaReads.Add(1)
+	}
+	src.nic.ctr.bytesTX.Add(uint64(s.total))
+	dst.nic.ctr.bytesRX.Add(uint64(s.total))
 }
 
 // processSendInline is the small-message fast path: the payload already
 // sits in the descriptor image (PIO-written at post time), so there is
-// no TPT translation, no gather DMA, no staging buffer and no scatter
-// pass — the engine streams the image to the wire and the receiving NIC
-// writes it back into the matched receive descriptor's image, where the
-// consumer reads it without touching registered memory.
+// no TPT translation, no DMA at either end and nothing to stream — the
+// engine puts the image on the wire and the receiving NIC writes it back
+// into the matched receive descriptor's image, where the consumer reads
+// it without touching registered memory.
 func (n *NIC) processSendInline(v, peer *VI, d *Descriptor) {
 	sc := n.stageStart()
 	payload := d.Inline()
@@ -885,134 +850,15 @@ func (n *NIC) processSendInline(v, peer *VI, d *Descriptor) {
 	n.meter.Charge(n.meter.Costs.WireLatency)
 	sc.mark(trace.KindWire, len(payload))
 
-	rd := peer.popRecv()
+	rd := n.matchRecv(v, peer, d, len(payload))
 	if rd == nil {
-		peer.nic.ctr.recvUnderflows.Add(1)
-		n.faultSend(v, d, ErrRecvUnderflow)
-		return
-	}
-	// The posted receive must be able to hold the message: its buffer
-	// length for a scatter-backed recv, the inline image for a bare one.
-	limit := rd.TotalLength()
-	if len(rd.Segs) == 0 {
-		limit = MaxInlineData
-	}
-	if len(payload) > limit {
-		n.faultSendRecv(v, d, peer, rd, ErrLengthMismatch)
 		return
 	}
 	rd.setInlineRecv(payload)
-	rd.Immediate = d.Immediate
-	rd.HasImmediate = d.HasImmediate
-	peer.completeRecv(rd, StatusSuccess, len(payload))
-	if err := n.completionCheck(v); err != nil {
-		n.faultSend(v, d, err)
+	if !n.finish(v, peer, d, rd, len(payload)) {
 		return
 	}
-	v.completeSend(d, StatusSuccess, len(payload))
-	n.ctr.sends.Add(1)
 	n.ctr.inlineSends.Add(1)
 	n.ctr.bytesTX.Add(uint64(len(payload)))
-	pn := peer.nic
-	pn.ctr.recvs.Add(1)
-	pn.ctr.bytesRX.Add(uint64(len(payload)))
-}
-
-// processRDMAWrite implements the one-sided write: gather locally, check
-// the remote region's tag and write-enable, scatter into remote memory.
-// No remote descriptor is consumed.
-func (n *NIC) processRDMAWrite(v, peer *VI, d *Descriptor) {
-	sc := n.stageStart()
-	payload, pb, err := n.gather(v, d)
-	if err != nil {
-		if isDataFault(err) {
-			n.faultSend(v, d, err)
-			return
-		}
-		n.ctr.tagViolations.Add(1)
-		v.completeSend(d, StatusProtectionError, 0)
-		return
-	}
-	defer PutPayload(pb)
-	if err := n.linkCheck(peer); err != nil {
-		n.faultSend(v, d, err)
-		return
-	}
-	n.meter.Charge(n.meter.Costs.DMAStartup)
-	n.meter.ChargeN(n.meter.Costs.DMAPerByte, len(payload))
-	sc.mark(trace.KindDMA, len(payload))
-	n.meter.Charge(n.meter.Costs.WireLatency)
-	sc.mark(trace.KindWire, len(payload))
-
-	pn := peer.nic
-	err = pn.tptCopy(d.Remote.Handle, d.Remote.Offset, payload, peer.tag, true,
-		func(a MemAttrs) bool { return a.EnableRDMAWrite })
-	if err != nil {
-		if isDataFault(err) {
-			n.faultSend(v, d, err)
-			return
-		}
-		pn.ctr.tagViolations.Add(1)
-		v.completeSend(d, StatusProtectionError, 0)
-		return
-	}
-	sc.mark(trace.KindScatter, len(payload))
-	if err := n.completionCheck(v); err != nil {
-		n.faultSend(v, d, err)
-		return
-	}
-	v.completeSend(d, StatusSuccess, len(payload))
-	n.ctr.rdmaWrites.Add(1)
-	n.ctr.bytesTX.Add(uint64(len(payload)))
-	pn.ctr.bytesRX.Add(uint64(len(payload)))
-}
-
-// processRDMARead implements the one-sided read: fetch remote registered
-// memory (tag + read-enable checked at the remote NIC) and scatter it
-// into the local segments.
-func (n *NIC) processRDMARead(v, peer *VI, d *Descriptor) {
-	sc := n.stageStart()
-	if err := n.linkCheck(peer); err != nil {
-		n.faultSend(v, d, err)
-		return
-	}
-	total := d.TotalLength()
-	buf, pb := GetPayload(total)
-	defer PutPayload(pb)
-	n.meter.Charge(n.meter.Costs.WireLatency) // request
-	pn := peer.nic
-	err := pn.tptCopy(d.Remote.Handle, d.Remote.Offset, buf, peer.tag, false,
-		func(a MemAttrs) bool { return a.EnableRDMARead })
-	if err != nil {
-		if isDataFault(err) {
-			n.faultSend(v, d, err)
-			return
-		}
-		pn.ctr.tagViolations.Add(1)
-		v.completeSend(d, StatusProtectionError, 0)
-		return
-	}
-	pn.meter.Charge(pn.meter.Costs.DMAStartup)
-	pn.meter.ChargeN(pn.meter.Costs.DMAPerByte, total)
-	sc.mark(trace.KindDMA, total)
-	n.meter.Charge(n.meter.Costs.WireLatency) // response
-	sc.mark(trace.KindWire, total)
-	if err := n.scatter(v, d, buf); err != nil {
-		if isDataFault(err) {
-			n.faultSend(v, d, err)
-			return
-		}
-		n.ctr.tagViolations.Add(1)
-		v.completeSend(d, StatusProtectionError, 0)
-		return
-	}
-	sc.mark(trace.KindScatter, total)
-	if err := n.completionCheck(v); err != nil {
-		n.faultSend(v, d, err)
-		return
-	}
-	v.completeSend(d, StatusSuccess, total)
-	n.ctr.rdmaReads.Add(1)
-	n.ctr.bytesRX.Add(uint64(total))
-	pn.ctr.bytesTX.Add(uint64(total))
+	peer.nic.ctr.bytesRX.Add(uint64(len(payload)))
 }

@@ -32,7 +32,7 @@ func TestNoPinTPTInvalidateRepair(t *testing.T) {
 	if p, total, _ := tb.presentPages(h); p != 3 || total != 3 {
 		t.Fatalf("fresh nopin region: %d/%d present", p, total)
 	}
-	if ep, _ := tb.regionEpoch(h); ep != 0 {
+	if _, _, ep, _ := tb.pageState(h, 0); ep != 0 {
 		t.Fatalf("fresh epoch = %d", ep)
 	}
 
@@ -48,7 +48,7 @@ func TestNoPinTPTInvalidateRepair(t *testing.T) {
 	if p, _, _ := tb.presentPages(h); p != 2 {
 		t.Fatalf("after invalidate: %d present, want 2", p)
 	}
-	if ep, _ := tb.regionEpoch(h); ep != 1 {
+	if _, _, ep, _ := tb.pageState(h, 0); ep != 1 {
 		t.Fatalf("epoch after invalidate = %d, want 1", ep)
 	}
 
@@ -87,7 +87,7 @@ func TestNoPinTPTInvalidateRepair(t *testing.T) {
 	if err := tb.repairPage(h, 1, newPA); err != nil {
 		t.Fatal(err)
 	}
-	if ep, _ := tb.regionEpoch(h); ep != 2 {
+	if _, _, ep, _ := tb.pageState(h, 0); ep != 2 {
 		t.Fatalf("epoch after repair = %d, want 2", ep)
 	}
 	if pa, err := tb.translate(h, phys.PageSize+8, 5, nil); err != nil || pa != newPA+8 {

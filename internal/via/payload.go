@@ -7,14 +7,15 @@ import (
 	"repro/internal/phys"
 )
 
-// The data path stages every message payload through a bounce buffer
-// (the simulated equivalent of the DMA engine's streaming FIFO).  At
-// high message rates allocating that buffer per descriptor dominates
-// the path, so buffers up to maxPooledPayload are recycled through a
-// sync.Pool and the steady-state send/RDMA paths allocate nothing.  The
-// msg layer borrows its eager bounce copies from the same pool, so no
-// endpoint owns a staging buffer and the heap stays flat at any VI
-// count.
+// A transfer between pinned regions streams frame to frame and never
+// buffers (stream.go).  Host staging buffers remain for what cannot
+// stream: a transfer with a nopin end, whose buffer is the unit IO page
+// fault recovery retries or retransmits; a loopback transfer whose ends
+// overlap; and the msg layer's eager bounce copies, borrowed from the
+// same pool so that no endpoint owns a staging buffer and the heap stays
+// flat at any VI count.  Buffers up to maxPooledPayload are recycled
+// through a sync.Pool, so those paths allocate nothing in steady state
+// either.
 const maxPooledPayload = 256 << 10
 
 // PayloadBuf is the pool token GetPayload hands out; it wraps the byte
@@ -22,10 +23,6 @@ const maxPooledPayload = 256 << 10
 type PayloadBuf struct{ b []byte }
 
 var payloadPool = sync.Pool{New: func() any { return new(PayloadBuf) }}
-
-// extentPool recycles the scratch extent slices tptCopy hands to
-// translateRange, keeping multi-page translations allocation-free too.
-var extentPool = sync.Pool{New: func() any { e := make([]extent, 0, 32); return &e }}
 
 // GetPayload returns a staging buffer of length n (contents undefined)
 // plus the pool token to release it with PutPayload (nil token for

@@ -425,13 +425,15 @@ func (r *region) extents(off, length int, tag ProtectionTag, needAttr func(MemAt
 			}
 		}
 	}
-	for length > 0 {
+	// Coalesce only with this call's own extents: what exts already holds
+	// belongs to an earlier segment of the caller's list.
+	for own := len(exts); length > 0; {
 		pa := r.frames[abs/phys.PageSize] + phys.Addr(abs&phys.PageMask)
 		n := phys.PageSize - abs&phys.PageMask
 		if n > length {
 			n = length
 		}
-		if k := len(exts) - 1; k >= 0 && exts[k].addr+phys.Addr(exts[k].n) == pa {
+		if k := len(exts) - 1; k >= own && exts[k].addr+phys.Addr(exts[k].n) == pa {
 			exts[k].n += n
 		} else {
 			exts = append(exts, extent{addr: pa, n: n})
@@ -494,31 +496,6 @@ func (t *tpt) pageState(h MemHandle, page int) (pa phys.Addr, present bool, epoc
 	return r.frames[page], r.pagePresent(page), r.epoch, nil
 }
 
-// translate resolves (handle, byte offset) to a physical address after
-// checking the protection tag, lock-free like translateRange.  needAttr
-// selects the RDMA attribute an incoming remote access must additionally
-// satisfy (nil for local use).
-func (t *tpt) translate(h MemHandle, off int, tag ProtectionTag, needAttr func(MemAttrs) bool) (phys.Addr, error) {
-	r, err := t.lookup(h)
-	if err != nil {
-		return 0, err
-	}
-	if r.tag != tag {
-		return 0, fmt.Errorf("%w: region tag %d vs access tag %d", ErrTagMismatch, r.tag, tag)
-	}
-	if off < 0 || off >= r.length {
-		return 0, fmt.Errorf("%w: offset %d of %d", ErrOutOfRegion, off, r.length)
-	}
-	if needAttr != nil && !needAttr(r.attrs) {
-		return 0, ErrRDMADisabled
-	}
-	abs := r.offset + off
-	if !r.pagePresent(abs / phys.PageSize) {
-		return 0, &IOPageFaultError{Handle: h, Page: abs / phys.PageSize, Epoch: r.epoch}
-	}
-	return r.frames[abs/phys.PageSize] + phys.Addr(abs%phys.PageSize), nil
-}
-
 // regionLength reports the registered length of a handle.
 func (t *tpt) regionLength(h MemHandle) (int, error) {
 	r, err := t.lookup(h)
@@ -526,16 +503,6 @@ func (t *tpt) regionLength(h MemHandle) (int, error) {
 		return 0, err
 	}
 	return r.length, nil
-}
-
-// regionEpoch reports the current invalidate/repair epoch of a handle
-// (always zero for pinned regions).
-func (t *tpt) regionEpoch(h MemHandle) (uint64, error) {
-	r, err := t.lookup(h)
-	if err != nil {
-		return 0, err
-	}
-	return r.epoch, nil
 }
 
 // presentPages reports how many of a region's pages currently have

@@ -11,6 +11,19 @@ import (
 	"repro/internal/phys"
 )
 
+// translate resolves (handle, byte offset) to a physical address: the
+// tests' single-address probe of translateRange.
+func (t *tpt) translate(h MemHandle, off int, tag ProtectionTag, needAttr func(MemAttrs) bool) (phys.Addr, error) {
+	exts, fenced, err := t.translateRange(h, off, 1, tag, needAttr, nil)
+	if err != nil {
+		return 0, err
+	}
+	if fenced {
+		t.fence.RUnlock()
+	}
+	return exts[0].addr, nil
+}
+
 func TestTPTRegisterTranslate(t *testing.T) {
 	tb := newTPT(8)
 	pages := []phys.Addr{4 * phys.PageSize, 9 * phys.PageSize}

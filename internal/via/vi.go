@@ -104,8 +104,8 @@ type VI struct {
 	recvCQ *CQ
 
 	// maxTransfer bounds a single descriptor's payload (the VIA
-	// MaxTransferSize attribute).
-	maxTransfer int
+	// MaxTransferSize attribute); atomic because every post reads it.
+	maxTransfer atomic.Int64
 }
 
 // DefaultMaxTransferSize is the per-descriptor payload bound a fresh VI
@@ -115,21 +115,37 @@ const DefaultMaxTransferSize = 4 << 20
 // ErrTransferTooLarge reports a descriptor exceeding MaxTransferSize.
 var ErrTransferTooLarge = errors.New("via: descriptor exceeds MaxTransferSize")
 
-// MaxTransferSize reports the VI's per-descriptor payload bound.
-func (v *VI) MaxTransferSize() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.maxTransfer
+// ErrNegativeSegment reports a descriptor with a segment of negative
+// length, refused at post time before the doorbell.
+var ErrNegativeSegment = errors.New("via: descriptor segment with negative length")
+
+// checkRecv validates a receive descriptor at post time, like checkSend.
+func checkRecv(d *Descriptor) error {
+	if d.Op != OpRecv {
+		return fmt.Errorf("via: receive post with %v descriptor", d.Op)
+	}
+	return checkSegs(d)
 }
+
+// checkSegs is the segment sanity check every post shares.
+func checkSegs(d *Descriptor) error {
+	for i, s := range d.Segs {
+		if s.Length < 0 {
+			return fmt.Errorf("%w: segment %d length %d", ErrNegativeSegment, i, s.Length)
+		}
+	}
+	return nil
+}
+
+// MaxTransferSize reports the VI's per-descriptor payload bound.
+func (v *VI) MaxTransferSize() int { return int(v.maxTransfer.Load()) }
 
 // SetMaxTransferSize adjusts the bound (values <= 0 restore the default).
 func (v *VI) SetMaxTransferSize(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if n <= 0 {
 		n = DefaultMaxTransferSize
 	}
-	v.maxTransfer = n
+	v.maxTransfer.Store(int64(n))
 }
 
 // completeSend finalizes a send-queue descriptor and notifies the CQ.
@@ -211,8 +227,8 @@ func (v *VI) postGateLocked() error {
 // rings the receive doorbell.  Per the VIA rules the descriptor must be
 // posted before the peer's matching send starts.
 func (v *VI) PostRecv(d *Descriptor) error {
-	if d.Op != OpRecv {
-		return fmt.Errorf("via: PostRecv with %v descriptor", d.Op)
+	if err := checkRecv(d); err != nil {
+		return err
 	}
 	v.nic.ringDoorbell(1)
 	v.mu.Lock()
@@ -235,8 +251,8 @@ func (v *VI) PostRecvBatch(ds []*Descriptor) error {
 		return nil
 	}
 	for _, d := range ds {
-		if d.Op != OpRecv {
-			return fmt.Errorf("via: PostRecvBatch with %v descriptor", d.Op)
+		if err := checkRecv(d); err != nil {
+			return err
 		}
 	}
 	v.nic.ringDoorbell(len(ds))
@@ -342,8 +358,8 @@ func (v *VI) stampSend(d *Descriptor, obs *nicObs) {
 }
 
 // checkSend validates a send-side descriptor at post time: operation,
-// inline rules (OpSend only, within MaxInlineData), and the
-// MaxTransferSize attribute.
+// inline rules (OpSend only, within MaxInlineData), segment lengths, and
+// the MaxTransferSize attribute.
 func (v *VI) checkSend(d *Descriptor) error {
 	switch d.Op {
 	case OpSend, OpRDMAWrite, OpRDMARead:
@@ -358,8 +374,11 @@ func (v *VI) checkSend(d *Descriptor) error {
 			return fmt.Errorf("%w: %d > %d", ErrInlineTooLarge, d.inlineLen, MaxInlineData)
 		}
 	}
-	if n := d.TotalLength(); n > v.MaxTransferSize() {
-		return fmt.Errorf("%w: %d > %d", ErrTransferTooLarge, n, v.MaxTransferSize())
+	if err := checkSegs(d); err != nil {
+		return err
+	}
+	if n, limit := d.TotalLength(), v.MaxTransferSize(); n > limit {
+		return fmt.Errorf("%w: %d > %d", ErrTransferTooLarge, n, limit)
 	}
 	return nil
 }
