@@ -1,10 +1,12 @@
 package mm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/pgtable"
 	"repro/internal/phys"
+	"repro/internal/swapdev"
 	"repro/internal/vma"
 )
 
@@ -18,6 +20,15 @@ func (k *Kernel) GetFreePage() (phys.PFN, error) {
 }
 
 func (k *Kernel) getFreePageLocked() (phys.PFN, error) {
+	pfn, _, err := k.allocFrameLocked(swapdev.NoSlot, false)
+	return pfn, err
+}
+
+// allocFrameLocked is getFreePageLocked, and with a slot it is the
+// allocation of a swap-in: the frame comes from k.swap.Load with the
+// slot's image in it instead of zeroes, and kept reports that the slot
+// stayed allocated as the frame's swap-cache image.
+func (k *Kernel) allocFrameLocked(slot swapdev.Slot, keep bool) (pfn phys.PFN, kept bool, err error) {
 	k.charge(k.costs().PageAlloc)
 	// Reclaim rounds, like the rising-priority loop in
 	// do_try_to_free_pages.  A round that frees nothing may still have
@@ -25,14 +36,18 @@ func (k *Kernel) getFreePageLocked() (phys.PFN, error) {
 	// consecutive fruitless rounds mean genuine OOM.
 	zeroRounds := 0
 	for {
-		pfn, err := k.phys.AllocFrame()
-		if err == nil {
-			return pfn, nil
+		if slot == swapdev.NoSlot {
+			pfn, err = k.phys.AllocFrame()
+		} else {
+			pfn, kept, err = k.swap.Load(slot, k.phys, keep)
+		}
+		if !errors.Is(err, phys.ErrOutOfMemory) {
+			return pfn, kept, err
 		}
 		if freed := k.tryToFreePagesLocked(); freed == 0 {
 			zeroRounds++
 			if zeroRounds >= 3 {
-				return phys.NoPFN, ErrOOM
+				return phys.NoPFN, false, ErrOOM
 			}
 		} else {
 			zeroRounds = 0
@@ -135,7 +150,8 @@ func (k *Kernel) demandZeroLocked(as *AddressSpace, v pgtable.VPN, area vma.VMA,
 //
 // When the slot is unshared and the fault is a read, the slot is kept as
 // the frame's swap-cache image (PG_SwapCache): a later clean re-eviction
-// can then skip the device write entirely.
+// can then skip the device write entirely.  An unshared slot on a write
+// fault is released, and its page becomes the fresh frame's.
 func (k *Kernel) swapInLocked(as *AddressSpace, v pgtable.VPN, e pgtable.PTE, area vma.VMA, write bool) error {
 	// Guarded pages obey the same rules as demand-zero: read faults map
 	// the page without write permission, write faults go through the
@@ -159,22 +175,10 @@ func (k *Kernel) swapInLocked(as *AddressSpace, v pgtable.VPN, e pgtable.PTE, ar
 		}
 	}
 	slot := e.SwapSlot()
-	pfn, err := k.getFreePageLocked()
+	// A slot that cannot be read fails the fault with the PTE still
+	// naming it, and takes no frame.
+	pfn, keep, err := k.allocFrameLocked(slot, !write)
 	if err != nil {
-		return err
-	}
-	keep := !write && k.swap.UseCount(slot) == 1
-	buf, err := k.phys.FrameBytes(pfn)
-	if err == nil {
-		err = k.swap.Read(slot, buf)
-	}
-	if err == nil && !keep {
-		_, err = k.swap.Free(slot)
-	}
-	if err != nil {
-		// The fault fails with the PTE still naming the slot; the frame
-		// taken for it goes back.
-		_ = k.putMappedFrameLocked(pfn)
 		return err
 	}
 	if keep {

@@ -170,7 +170,7 @@ func NewKernel(cfg Config, meter *simtime.Meter) *Kernel {
 	return &Kernel{
 		cfg:       cfg,
 		phys:      phys.New(cfg.RAMPages),
-		swap:      swapdev.New(cfg.SwapPages, phys.PageSize),
+		swap:      swapdev.New(cfg.SwapPages),
 		meter:     meter,
 		nextID:    1,
 		pageCache: make(map[phys.PFN]*cachePage),

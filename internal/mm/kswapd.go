@@ -99,6 +99,19 @@ func (k *Kernel) CheckInvariants() error {
 	if err := k.swap.CheckInvariants(); err != nil {
 		return err
 	}
+	// Page conservation: swap-out and swap-in move pages between frames
+	// and slots, so every frame and every slot, free or not, holds a page
+	// of its own.
+	pages := k.phys.AppendPages(k.swap.AppendPages(nil))
+	held := make(map[*phys.PageData]bool, len(pages))
+	for _, p := range pages {
+		if p != nil {
+			held[p] = true
+		}
+	}
+	if want := k.phys.NumFrames() + k.swap.NumSlots(); len(held) != want {
+		return fmt.Errorf("mm: frames and slots hold %d distinct pages, want %d", len(held), want)
+	}
 	for pfn, slot := range k.swapCache {
 		if k.phys.RefCount(pfn) <= 0 {
 			return fmt.Errorf("mm: swap cache references free frame %d", pfn)

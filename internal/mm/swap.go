@@ -186,24 +186,26 @@ func (k *Kernel) tryToSwapOutLocked(as *AddressSpace, v pgtable.VPN, e pgtable.P
 		}
 	}
 	clean := cached && e&pgtable.FlagDirty == 0
-	if !clean {
-		buf, err := k.phys.FrameBytes(pfn)
-		if err == nil {
-			err = k.swap.Write(slot, buf)
-		}
-		if err != nil {
+	// Redirect the PTE to the swap entry, then __free_page.  If a driver
+	// raised the count, the frame stays allocated — orphaned.
+	if err := as.pt.Set(v, pgtable.MakeSwap(slot, e)); err != nil {
+		_, _ = k.swap.Free(slot)
+		return false
+	}
+	if clean {
+		_, _ = k.phys.Put(pfn)
+	} else {
+		// The device write and the __free_page in one: a frame that
+		// frees hands its page to the slot, which is what taking the
+		// image means here; an orphan or a shared frame keeps its bytes
+		// and the slot gets a copy.
+		if err := k.swap.Store(slot, k.phys, pfn); err != nil {
+			_ = as.pt.Set(v, e)
 			_, _ = k.swap.Free(slot)
 			return false
 		}
 		k.charge(k.costs().PageOut)
 	}
-	// Redirect the PTE to the swap entry, then __free_page.  If a driver
-	// raised the count, Put leaves the frame allocated — orphaned.
-	if err := as.pt.Set(v, pgtable.MakeSwap(slot, e)); err != nil {
-		_, _ = k.swap.Free(slot)
-		return false
-	}
-	_, _ = k.phys.Put(pfn)
 	k.stats.SwapOuts++
 	if clean {
 		k.stats.SwapCacheHit++

@@ -30,14 +30,16 @@ func TestSwapCacheSkipsCleanRewrite(t *testing.T) {
 	if err := k.CopyFromUser(as, addr, got); err != nil {
 		t.Fatal(err)
 	}
-	writesBefore := k.Swap().Stats().Writes
+	if st := k.Swap().Stats(); st.Writes != 1 || st.Reads != 1 || st.Frees != 0 {
+		t.Fatalf("after evict + read fault: device %+v, want 1 write, 1 read, slot kept", st)
+	}
 	evictAll(k)
 	st := k.Stats()
 	if st.SwapCacheHit == 0 {
 		t.Fatal("clean re-eviction did not hit the swap cache")
 	}
-	if got := k.Swap().Stats().Writes; got != writesBefore {
-		t.Fatalf("device writes grew %d -> %d on a clean re-eviction", writesBefore, got)
+	if got := k.Swap().Stats(); got.Writes != 1 || got.Reads != 1 {
+		t.Fatalf("clean re-eviction moved the image: device %+v", got)
 	}
 	// Contents must still round-trip.
 	if err := k.CopyFromUser(as, addr, got); err != nil {
@@ -45,6 +47,9 @@ func TestSwapCacheSkipsCleanRewrite(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("data corrupted: %q", got)
+	}
+	if st := k.Swap().Stats(); st.Writes != 1 || st.Reads != 2 {
+		t.Fatalf("second read fault: device %+v, want 1 write, 2 reads", st)
 	}
 	if err := k.CheckInvariants(); err != nil {
 		t.Fatal(err)

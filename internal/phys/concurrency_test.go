@@ -204,9 +204,12 @@ func TestPageMapMatchesLockedModel(t *testing.T) {
 // TestPageMapConcurrentChurn runs alloc/get/pin/flag/unpin/put cycles
 // from many goroutines at once: each on frames of its own, and all of
 // them on a few shared frames the test holds a reference to, with DMA
-// copies and invariant checks running alongside.  Under -race this is
-// the check that the lock-free page map has no unsynchronized access;
-// without it, that no update is lost.
+// copies and invariant checks running alongside.  Every other cycle
+// allocates with a page of the worker's own and frees by handing the
+// frame's page back, as the swap path does, while the checker reads
+// every frame's page reference.  Under -race this is the check that the
+// lock-free page map has no unsynchronized access; without it, that no
+// update is lost and no page ends up in two frames.
 func TestPageMapConcurrentChurn(t *testing.T) {
 	const (
 		workers = 8
@@ -238,6 +241,14 @@ func TestPageMapConcurrentChurn(t *testing.T) {
 				t.Errorf("mid-churn: %v", err)
 				return
 			}
+			held := map[*PageData]bool{}
+			for _, p := range m.AppendPages(nil) {
+				if held[p] {
+					t.Errorf("mid-churn: page %p in two frames", p)
+					return
+				}
+				held[p] = true
+			}
 			for _, pfn := range sharedPFN {
 				if pg, _ := m.PageInfo(pfn); pg.Count < 1 || pg.Pins < 0 || pg.Pins >= pg.Count {
 					t.Errorf("shared pfn %d read as %+v", pfn, pg)
@@ -253,9 +264,17 @@ func TestPageMapConcurrentChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			buf := make([]byte, 64)
+			spare := new(PageData) // this worker's page while its frame is free
 			for r := 0; r < rounds; r++ {
 				// A frame of this worker's own: the full life cycle.
-				own, err := m.AllocFrame()
+				handOff := r%2 == 1
+				var own PFN
+				var err error
+				if handOff {
+					own, spare, err = m.AllocFrameWith(spare)
+				} else {
+					own, err = m.AllocFrame()
+				}
 				if err != nil {
 					t.Errorf("worker %d: alloc: %v", w, err)
 					return
@@ -289,8 +308,13 @@ func TestPageMapConcurrentChurn(t *testing.T) {
 						t.Errorf("worker %d: put %d: freed=%v err=%v", w, pfn, freed, err)
 					}
 				}
-				if freed, err := m.Put(own); err != nil || !freed {
-					t.Errorf("worker %d: final put %d: freed=%v err=%v", w, own, freed, err)
+				if !handOff {
+					if freed, err := m.Put(own); err != nil || !freed {
+						t.Errorf("worker %d: final put %d: freed=%v err=%v", w, own, freed, err)
+					}
+				} else if spare, err = m.PutHandOff(own, spare); err != nil || spare == nil {
+					t.Errorf("worker %d: final hand-off put %d: page %p err=%v", w, own, spare, err)
+					return
 				}
 			}
 		}(w)

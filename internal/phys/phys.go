@@ -17,6 +17,11 @@
 // DMA by the simulated NIC goes through ReadPhys/WritePhys/CopyFrom using
 // raw physical addresses, bypassing all page tables — as bus-master DMA
 // does.
+//
+// A frame's bytes are a reference to a PageData.  The swap path moves
+// those references between frames and swap slots (PutHandOff,
+// AllocFrameWith) instead of copying 4 KiB each way; the model — PFNs,
+// physical addresses, the page map — does not see the difference.
 package phys
 
 import (
@@ -42,6 +47,10 @@ const (
 	PageSize  = 1 << PageShift // 4096
 	PageMask  = PageSize - 1
 )
+
+// PageData is the content of one page.  Frames and swap slots each hold
+// one by reference.
+type PageData [PageSize]byte
 
 // Addr is a physical byte address.
 type Addr uint64
@@ -142,8 +151,14 @@ type Memory struct {
 	// paths pay one atomic load + branch).
 	inj atomic.Pointer[faultinject.Injector]
 
-	frames []byte // nframes * PageSize backing bytes; never moves
-	pages  []page // the page map; never moves
+	// slab is nframes * PageSize bytes, one allocation that never moves;
+	// frame i starts out holding slab page i.
+	slab []byte
+	// data is each frame's page.  It changes only while the frame has
+	// one owner: at allocation (AllocFrameWith) and at the free that
+	// hands it off (PutHandOff).
+	data  []atomic.Pointer[PageData]
+	pages []page // the page map; never moves
 
 	// mu guards the free list and the statistics.  Every transition of a
 	// Count to or from zero happens under it, so "Count == 0" and "on
@@ -171,15 +186,22 @@ func New(nframes int) *Memory {
 		panic("phys: nframes must be positive")
 	}
 	m := &Memory{
-		frames: make([]byte, nframes*PageSize),
-		pages:  make([]page, nframes),
-		free:   make([]PFN, 0, nframes),
+		slab:  make([]byte, nframes*PageSize),
+		data:  make([]atomic.Pointer[PageData], nframes),
+		pages: make([]page, nframes),
+		free:  make([]PFN, 0, nframes),
 	}
 	// Hand out low frames first: push in reverse so the LIFO pops 0,1,2…
 	for i := nframes - 1; i >= 0; i-- {
+		m.data[i].Store(m.own(PFN(i)))
 		m.free = append(m.free, PFN(i))
 	}
 	return m
+}
+
+// own returns the slab page a frame starts out with.
+func (m *Memory) own(pfn PFN) *PageData {
+	return (*PageData)(m.slab[int(pfn)<<PageShift:])
 }
 
 // NumFrames reports the total number of frames.
@@ -204,10 +226,33 @@ func (m *Memory) Stats() Stats {
 // reclaim is the caller's job (mm.GetFreePage wraps this with
 // try_to_free_pages, exactly like get_free_pages in the kernel).
 func (m *Memory) AllocFrame() (PFN, error) {
+	pfn, err := m.alloc()
+	if err == nil {
+		// Zero the frame: get_free_page hands out zeroed memory.  The
+		// frame is the caller's alone by now, so this needs no lock.
+		clear(m.data[pfn].Load()[:])
+	}
+	return pfn, err
+}
+
+// AllocFrameWith is AllocFrame for a frame that is about to hold an image
+// that already exists (a swap-in): the frame takes pg as its page instead
+// of being zero-filled, and the page it displaced is returned to the
+// caller, who owns it from then on.
+func (m *Memory) AllocFrameWith(pg *PageData) (PFN, *PageData, error) {
+	pfn, err := m.alloc()
+	if err != nil {
+		return NoPFN, nil, err
+	}
+	return pfn, m.data[pfn].Swap(pg), nil
+}
+
+// alloc takes a frame off the free list with Count=1 and cleared flags.
+func (m *Memory) alloc() (PFN, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if len(m.free) == 0 {
 		m.stats.FailedAlloc++
-		m.mu.Unlock()
 		return NoPFN, ErrOutOfMemory
 	}
 	pfn := m.free[len(m.free)-1]
@@ -216,10 +261,6 @@ func (m *Memory) AllocFrame() (PFN, error) {
 	pg.flags.Store(0)
 	pg.refs.Store(oneRef)
 	m.stats.Allocs++
-	m.mu.Unlock()
-	// Zero the frame: get_free_page hands out zeroed memory.  The frame
-	// is the caller's alone by now, so this needs no lock.
-	clear(m.frameBytes(pfn))
 	return pfn, nil
 }
 
@@ -251,36 +292,57 @@ func (m *Memory) addRef(pfn PFN, delta uint64, op string) error {
 // whose count was raised stays allocated after the swap path "frees" it,
 // so it is never reused — but it is no longer mapped either.
 func (m *Memory) Put(pfn PFN) (freed bool, err error) {
+	freed, _, err = m.put(pfn, nil)
+	return freed, err
+}
+
+// PutHandOff is Put for the swap path's victim.  When it drops the last
+// reference, the frame goes back to the free list holding spare, and the
+// page it held — the image being evicted — is returned: it changes owner
+// instead of being copied.  When the frame does not free (a count raised
+// by a refcount-only "lock", a second mapper, or an error), it returns
+// nil and the frame keeps its page, so the caller must copy the image.
+func (m *Memory) PutHandOff(pfn PFN, spare *PageData) (*PageData, error) {
+	_, pg, err := m.put(pfn, spare)
+	return pg, err
+}
+
+// put drops one reference; when that frees the frame and spare is set,
+// the frame's page is exchanged for spare in the same critical section.
+func (m *Memory) put(pfn PFN, spare *PageData) (freed bool, taken *PageData, err error) {
 	pg, err := m.page(pfn)
 	if err != nil {
-		return false, err
+		return false, nil, err
 	}
 	for {
 		r := pg.refs.Load()
 		count, pins := unpack(r)
 		switch {
 		case count <= 0:
-			return false, fmt.Errorf("%w: put on pfn %d", ErrFrameFree, pfn)
+			return false, nil, fmt.Errorf("%w: put on pfn %d", ErrFrameFree, pfn)
 		case count > 1:
 			if pg.refs.CompareAndSwap(r, r-oneRef) {
-				return false, nil
+				return false, nil, nil
 			}
 		case pins != 0:
 			// A pinned frame must always hold a reference; reaching zero
 			// with pins outstanding indicates a broken locking strategy.
 			// The count is left at one so the invariant checker can see it.
-			return false, fmt.Errorf("phys: pfn %d refcount reached zero with %d pins", pfn, pins)
+			return false, nil, fmt.Errorf("phys: pfn %d refcount reached zero with %d pins", pfn, pins)
 		default:
 			m.mu.Lock()
 			freed = pg.refs.CompareAndSwap(r, 0)
 			if freed {
 				pg.flags.Store(0)
+				if spare != nil {
+					taken = m.data[pfn].Swap(spare)
+				}
 				m.free = append(m.free, pfn)
 				m.stats.Frees++
 			}
 			m.mu.Unlock()
 			if freed {
-				return true, nil
+				return true, taken, nil
 			}
 		}
 	}
@@ -372,19 +434,23 @@ func (m *Memory) peek(pfn PFN) Page {
 
 // ReadPhys copies len(buf) bytes starting at physical address a into buf.
 // It is the bus-master read path of the simulated NIC: no page tables, no
-// protection, no lock (the frames array never moves) — concurrent bus
-// masters stream in parallel, and ordering between accesses to the same
-// bytes is the callers' problem, exactly like real DMA.
+// protection, no lock (a frame's page changes only while the frame has one
+// owner, and DMA cannot reach it then) — concurrent bus masters stream in
+// parallel, and ordering between accesses to the same bytes is the
+// callers' problem, exactly like real DMA.
 func (m *Memory) ReadPhys(a Addr, buf []byte) error {
 	if inj := m.inj.Load(); inj != nil {
 		if err := inj.Check(faultinject.Op{Site: SiteRead, Key: uint64(a), N: len(buf)}); err != nil {
 			return err
 		}
 	}
-	if int(a)+len(buf) > len(m.frames) {
+	if int(a)+len(buf) > len(m.slab) {
 		return ErrBadAddr
 	}
-	copy(buf, m.frames[a:int(a)+len(buf)])
+	for len(buf) > 0 {
+		k := copy(buf, m.run(a, len(buf)))
+		buf, a = buf[k:], a+Addr(k)
+	}
 	return nil
 }
 
@@ -396,19 +462,24 @@ func (m *Memory) WritePhys(a Addr, buf []byte) error {
 			return err
 		}
 	}
-	if int(a)+len(buf) > len(m.frames) {
+	if int(a)+len(buf) > len(m.slab) {
 		return ErrBadAddr
 	}
-	copy(m.frames[a:int(a)+len(buf)], buf)
+	for len(buf) > 0 {
+		k := copy(m.run(a, len(buf)), buf)
+		buf, a = buf[k:], a+Addr(k)
+	}
 	return nil
 }
 
 // CopyFrom copies n bytes at physical address src of sm to physical
 // address dst of m (sm may be m): the bus-master path of a NIC streaming
-// between two nodes' pinned frames, one copy with no host buffer in
-// between.  It is ReadPhys on sm and WritePhys on m in one step — sm's
-// SiteRead guard, then m's SiteWrite guard, both bounds checks, and
-// nothing moves unless all four pass.
+// between two nodes' pinned frames, with no host buffer in between.  It
+// is ReadPhys on sm and WritePhys on m in one step — sm's SiteRead guard,
+// then m's SiteWrite guard, both bounds checks, and nothing moves unless
+// all four pass.  When sm is m the two ranges must not overlap: the copy
+// goes page run by page run, front to back, so an overlapping transfer
+// must be staged through a host buffer (as via's loopback path does).
 func (m *Memory) CopyFrom(dst Addr, sm *Memory, src Addr, n int) error {
 	if inj := sm.inj.Load(); inj != nil {
 		if err := inj.Check(faultinject.Op{Site: SiteRead, Key: uint64(src), N: n}); err != nil {
@@ -420,31 +491,66 @@ func (m *Memory) CopyFrom(dst Addr, sm *Memory, src Addr, n int) error {
 			return err
 		}
 	}
-	if int(src)+n > len(sm.frames) || int(dst)+n > len(m.frames) {
-		return ErrBadAddr
-	}
-	copy(m.frames[dst:int(dst)+n], sm.frames[src:int(src)+n])
-	return nil
+	return m.copyRuns(dst, sm, src, n)
 }
 
 // CopyPhys copies n bytes from physical address src to physical address
-// dst within this memory (page-copy, COW, bounce buffers).
-func (m *Memory) CopyPhys(dst, src Addr, n int) error {
-	if int(src)+n > len(m.frames) || int(dst)+n > len(m.frames) {
+// dst within this memory (page-copy, COW, bounce buffers).  The ranges
+// must not overlap, as for CopyFrom.
+func (m *Memory) CopyPhys(dst, src Addr, n int) error { return m.copyRuns(dst, m, src, n) }
+
+// copyRuns is CopyFrom after the guards: one copy per stretch that is one
+// piece of host memory on both sides.
+func (m *Memory) copyRuns(dst Addr, sm *Memory, src Addr, n int) error {
+	if int(src)+n > len(sm.slab) || int(dst)+n > len(m.slab) {
 		return ErrBadAddr
 	}
-	copy(m.frames[dst:int(dst)+n], m.frames[src:int(src)+n])
+	for n > 0 {
+		k := copy(m.run(dst, n), sm.run(src, n))
+		dst, src, n = dst+Addr(k), src+Addr(k), n-k
+	}
 	return nil
 }
 
-// FrameBytes returns the live backing bytes of a frame.  The caller must
-// treat the slice as volatile shared memory; it is exposed so the swap
-// device and page-copy paths avoid double buffering.
+// run returns the longest prefix of the n bytes at physical address a that
+// is one piece of host memory: the rest of the frame's page, extended from
+// frame to frame for as long as each still holds its own slab page.  A
+// memory that never swapped therefore copies each extent in one copy.
+func (m *Memory) run(a Addr, n int) []byte {
+	pfn, off := FrameOf(a), int(a&PageMask)
+	p := m.data[pfn].Load()
+	switch {
+	case off+n <= PageSize:
+		return p[off : off+n]
+	case p != m.own(pfn):
+		return p[off:]
+	}
+	end, next := int(a)+n, int(pfn+1)<<PageShift
+	for next < end && m.data[next>>PageShift].Load() == m.own(PFN(next>>PageShift)) {
+		next += PageSize
+	}
+	return m.slab[a:min(next, end)]
+}
+
+// FrameBytes returns the bytes of a frame's page, for CPU access to a
+// frame its caller owns: user copies, and the swap device's copies of
+// images that cannot change owner.  The slice stays the frame's only
+// while the caller owns the frame under the kernel lock: once the frame
+// is freed its page may move to a swap slot.
 func (m *Memory) FrameBytes(pfn PFN) ([]byte, error) {
 	if _, err := m.page(pfn); err != nil {
 		return nil, err
 	}
-	return m.frameBytes(pfn), nil
+	return m.data[pfn].Load()[:], nil
+}
+
+// AppendPages appends each frame's page to dst in frame order: the view of
+// this memory that the page-conservation audit checks.
+func (m *Memory) AppendPages(dst []*PageData) []*PageData {
+	for i := range m.data {
+		dst = append(dst, m.data[i].Load())
+	}
+	return dst
 }
 
 // CheckInvariants validates the global page-map invariants and returns a
@@ -485,10 +591,4 @@ func (m *Memory) page(pfn PFN) (*page, error) {
 		return nil, fmt.Errorf("%w: %d (of %d)", ErrBadPFN, pfn, len(m.pages))
 	}
 	return &m.pages[pfn], nil
-}
-
-// frameBytes returns the backing slice of a frame.
-func (m *Memory) frameBytes(pfn PFN) []byte {
-	off := int(pfn) * PageSize
-	return m.frames[off : off+PageSize : off+PageSize]
 }

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -314,6 +315,92 @@ func TestCopyPhys(t *testing.T) {
 		if got[i] != src[i] {
 			t.Fatalf("copy mismatch at %d: %v", i, got)
 		}
+	}
+}
+
+// TestPutHandOff: the eviction Put exchanges pages only when it frees the
+// frame.  A raised count or a pin at the last reference hands nothing
+// over and leaves the frame its page.
+func TestPutHandOff(t *testing.T) {
+	m := New(2)
+	pfn, _ := m.AllocFrame()
+	own := m.data[pfn].Load()
+	spare := new(PageData)
+	_ = m.Get(pfn)
+	if pg, err := m.PutHandOff(pfn, spare); pg != nil || err != nil || m.data[pfn].Load() != own {
+		t.Fatalf("put of a shared frame handed off %p (err %v)", pg, err)
+	}
+	_ = m.Pin(pfn)
+	if pg, err := m.PutHandOff(pfn, spare); pg != nil || err == nil || m.data[pfn].Load() != own {
+		t.Fatalf("put of a pinned last reference handed off %p (err %v)", pg, err)
+	}
+	_ = m.Unpin(pfn)
+	if pg, err := m.PutHandOff(pfn, spare); pg != own || err != nil || m.data[pfn].Load() != spare {
+		t.Fatalf("freeing put: got %p (err %v), frame holds %p", pg, err, m.data[pfn].Load())
+	}
+	if m.RefCount(pfn) != 0 || m.FreeFrames() != 2 {
+		t.Fatal("frame not freed")
+	}
+}
+
+// TestAllocFrameWith: the frame takes the supplied page as it is, not
+// zero-filled, and the displaced page goes to the caller; with no free
+// frame nothing changes hands.
+func TestAllocFrameWith(t *testing.T) {
+	m := New(1)
+	img := new(PageData)
+	copy(img[:], "an image that already exists")
+	pfn, displaced, err := m.AllocFrameWith(img)
+	if err != nil || displaced != m.own(pfn) || m.data[pfn].Load() != img {
+		t.Fatalf("pfn %d displaced %p (err %v)", pfn, displaced, err)
+	}
+	got := make([]byte, 28)
+	if err := m.ReadPhys(pfn.Addr(), got); err != nil || string(got) != "an image that already exists" {
+		t.Fatalf("frame reads %q (err %v)", got, err)
+	}
+	if _, pg, err := m.AllocFrameWith(new(PageData)); !errors.Is(err, ErrOutOfMemory) || pg != nil {
+		t.Fatalf("full memory: err %v, displaced %p", err, pg)
+	}
+}
+
+// TestCopiesFollowPageReferences: the bus-master paths reach a frame's
+// current page, and copy frames that still hold their own slab pages as
+// one run.
+func TestCopiesFollowPageReferences(t *testing.T) {
+	m := New(4)
+	if got := len(m.run(10, 3*PageSize)); got != 3*PageSize {
+		t.Fatalf("never-swapped memory: run of %d bytes, want %d", got, 3*PageSize)
+	}
+	img := new(PageData)
+	for i := range img {
+		img[i] = 0xee
+	}
+	if _, err := m.AllocFrame(); err != nil { // frame 0
+		t.Fatal(err)
+	}
+	pfn, old, err := m.AllocFrameWith(img) // frame 1 takes a page from elsewhere
+	if err != nil || pfn != 1 {
+		t.Fatalf("pfn %d, err %v", pfn, err)
+	}
+	if got := len(m.run(10, 3*PageSize)); got != PageSize-10 {
+		t.Fatalf("run crosses into a moved page: %d bytes", got)
+	}
+	buf := bytes.Repeat([]byte{0x11}, 3*PageSize)
+	if err := m.WritePhys(PageSize/2, buf); err != nil {
+		t.Fatal(err)
+	}
+	if img[PageSize/2] != 0x11 || old[PageSize/2] != 0 {
+		t.Fatal("write went to the frame's old page")
+	}
+	// Frame 3's second half was not written: copy into it from across
+	// the boundary of frame 0 and the moved page.
+	const dst = 3*PageSize + PageSize/2 + 100
+	if err := m.CopyPhys(dst, PageSize-8, 16); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 16)
+	if err := m.ReadPhys(dst, got); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0x11}, 16)) {
+		t.Fatalf("copy across the moved page read %v (err %v)", got, err)
 	}
 }
 

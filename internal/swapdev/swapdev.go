@@ -1,13 +1,21 @@
-// Package swapdev simulates a swap partition: a fixed number of
-// page-sized slots with allocation, per-slot use counts (a swap entry can
-// be shared after fork, so slots are reference counted like the kernel's
-// swap_map), and read/write of page images.
+// Package swapdev simulates a swap partition: a fixed number of slots,
+// each owning one page, with allocation and per-slot use counts (a swap
+// entry can be shared after fork, so slots are reference counted like the
+// kernel's swap_map).
+//
+// Store and Load are the device write of a swap-out and the device read of
+// a swap-in.  Where ownership of the image can move — the evicted frame
+// frees, or the faulting process releases the slot — they exchange pages
+// with the frame instead of copying 4 KiB; where it cannot (the frame
+// stays allocated, the slot stays allocated) they copy.
 package swapdev
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/phys"
 )
 
 // Slot identifies one page-sized slot on the swap device.
@@ -27,9 +35,8 @@ type Stats struct {
 // Device is a simulated swap partition.
 type Device struct {
 	mu       sync.Mutex
-	pageSize int
-	data     []byte  // nslots * pageSize
-	useCount []int32 // swap_map: 0 = free
+	pages    []*phys.PageData // each slot's page, free slots included
+	useCount []int32          // swap_map: 0 = free
 	free     []Slot
 	stats    Stats
 }
@@ -39,21 +46,22 @@ var (
 	ErrFull     = errors.New("swapdev: no free swap slots")
 	ErrBadSlot  = errors.New("swapdev: bad slot")
 	ErrFreeSlot = errors.New("swapdev: operation on free slot")
-	ErrSize     = errors.New("swapdev: buffer is not one page")
 )
 
-// New creates a device with nslots page-sized slots.
-func New(nslots, pageSize int) *Device {
-	if nslots <= 0 || pageSize <= 0 {
+// New creates a device with nslots slots, each owning one page of a
+// single slab.
+func New(nslots int) *Device {
+	if nslots <= 0 {
 		panic("swapdev: invalid geometry")
 	}
+	slab := make([]phys.PageData, nslots)
 	d := &Device{
-		pageSize: pageSize,
-		data:     make([]byte, nslots*pageSize),
+		pages:    make([]*phys.PageData, nslots),
 		useCount: make([]int32, nslots),
 		free:     make([]Slot, 0, nslots),
 	}
 	for i := nslots - 1; i >= 0; i-- {
+		d.pages[i] = &slab[i]
 		d.free = append(d.free, Slot(i))
 	}
 	return d
@@ -109,13 +117,18 @@ func (d *Device) Free(s Slot) (bool, error) {
 	if err := d.check(s); err != nil {
 		return false, err
 	}
+	return d.put(s), nil
+}
+
+// put is Free after the check.
+func (d *Device) put(s Slot) bool {
 	d.useCount[s]--
-	if d.useCount[s] == 0 {
-		d.free = append(d.free, s)
-		d.stats.Frees++
-		return true, nil
+	if d.useCount[s] != 0 {
+		return false
 	}
-	return false, nil
+	d.free = append(d.free, s)
+	d.stats.Frees++
+	return true
 }
 
 // UseCount reports a slot's use count (0 = free).
@@ -128,34 +141,82 @@ func (d *Device) UseCount(s Slot) int32 {
 	return d.useCount[s]
 }
 
-// Write stores one page image into the slot.
-func (d *Device) Write(s Slot, page []byte) error {
+// Store writes the image of frame pfn of m to slot s and drops the
+// caller's reference to the frame (__free_page), in one critical section.
+// When that frees the frame, the frame's page becomes the slot's and the
+// slot's old page the free frame's (m.PutHandOff): no byte is copied.
+// When the frame stays allocated — a count raised by a refcount-only
+// "lock", another process still mapping it — the frame keeps its bytes
+// and the slot gets a copy.  Store fails only for a bad slot or frame, and
+// then changes nothing.
+func (d *Device) Store(s Slot, m *phys.Memory, pfn phys.PFN) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.check(s); err != nil {
 		return err
 	}
-	if len(page) != d.pageSize {
-		return ErrSize
+	fb, err := m.FrameBytes(pfn)
+	if err != nil {
+		return err
 	}
-	copy(d.data[int(s)*d.pageSize:], page)
+	// A Put that fails (the frame is already free, or pinned at its last
+	// reference — a broken locking strategy) hands nothing over, as the
+	// __free_page after a device write would, and the image is copied.
+	if pg, _ := m.PutHandOff(pfn, d.pages[s]); pg != nil {
+		d.pages[s] = pg
+	} else {
+		copy(d.pages[s][:], fb)
+	}
 	d.stats.Writes++
 	return nil
 }
 
-// Read loads one page image from the slot.
-func (d *Device) Read(s Slot, page []byte) error {
+// Load reads slot s into a fresh frame of m and drops the caller's use of
+// the slot — except that with keep set and the caller the slot's only
+// user, the slot stays allocated as the frame's swap-cache image and kept
+// is true.  A load that releases the slot hands the slot's page to the
+// frame (m.AllocFrameWith: no zero fill, no copy) and takes the frame's
+// displaced page in the same critical section that frees the slot.  Any
+// other load — a kept image, a slot fork still shares — copies into a
+// zero-filled frame.  A failed allocation (phys.ErrOutOfMemory) leaves the
+// slot as it was, so the caller can reclaim and retry.
+func (d *Device) Load(s Slot, m *phys.Memory, keep bool) (pfn phys.PFN, kept bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.check(s); err != nil {
-		return err
+		return phys.NoPFN, false, err
 	}
-	if len(page) != d.pageSize {
-		return ErrSize
+	sole := d.useCount[s] == 1
+	if sole && !keep {
+		pfn, displaced, err := m.AllocFrameWith(d.pages[s])
+		if err != nil {
+			return phys.NoPFN, false, err
+		}
+		d.pages[s] = displaced
+		d.put(s)
+		d.stats.Reads++
+		return pfn, false, nil
 	}
-	copy(page, d.data[int(s)*d.pageSize:int(s+1)*d.pageSize])
+	if pfn, err = m.AllocFrame(); err != nil {
+		return phys.NoPFN, false, err
+	}
+	fb, _ := m.FrameBytes(pfn) // a frame AllocFrame returned is in range
+	copy(fb, d.pages[s][:])
 	d.stats.Reads++
-	return nil
+	if sole {
+		return pfn, true, nil
+	}
+	d.put(s)
+	return pfn, false, nil
+}
+
+// AppendPages appends each slot's page to dst in slot order, free slots
+// included: the view of the device that the page-conservation audit
+// checks.
+func (d *Device) AppendPages(dst []*phys.PageData) []*phys.PageData {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append(dst, d.pages...)
 }
 
 // CheckInvariants validates slot accounting.
