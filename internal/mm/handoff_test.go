@@ -25,7 +25,7 @@ func pageOf(t *testing.T, k *Kernel, pfn phys.PFN) *byte {
 }
 
 // slotPage is the identity of the page a swap slot holds.
-func slotPage(k *Kernel, s swapdev.Slot) *byte { return &k.Swap().AppendPages(nil)[s][0] }
+func slotPage(k *Kernel, s swapdev.Slot) *byte { return &k.Swap().AppendPages(nil)[s].Held[0] }
 
 // resident returns the frame backing addr, failing if there is none.
 func resident(t *testing.T, k *Kernel, as *AddressSpace, addr pgtable.VAddr) phys.PFN {

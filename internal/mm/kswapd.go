@@ -100,17 +100,11 @@ func (k *Kernel) CheckInvariants() error {
 		return err
 	}
 	// Page conservation: swap-out and swap-in move pages between frames
-	// and slots, so every frame and every slot, free or not, holds a page
-	// of its own.
-	pages := k.phys.AppendPages(k.swap.AppendPages(nil))
-	held := make(map[*phys.PageData]bool, len(pages))
-	for _, p := range pages {
-		if p != nil {
-			held[p] = true
-		}
-	}
-	if want := k.phys.NumFrames() + k.swap.NumSlots(); len(held) != want {
-		return fmt.Errorf("mm: frames and slots hold %d distinct pages, want %d", len(held), want)
+	// and slots, so every materialized page, free or not, is held by
+	// exactly one frame or slot, and a frame or slot whose page was never
+	// materialized leaves its own page to nobody.
+	if err := phys.CheckConservation(k.phys.AppendPages(nil), k.swap.AppendPages(nil)); err != nil {
+		return fmt.Errorf("mm: %w", err)
 	}
 	for pfn, slot := range k.swapCache {
 		if k.phys.RefCount(pfn) <= 0 {

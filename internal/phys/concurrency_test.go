@@ -209,7 +209,9 @@ func TestPageMapMatchesLockedModel(t *testing.T) {
 // frame's page back, as the swap path does, while the checker reads
 // every frame's page reference.  Under -race this is the check that the
 // lock-free page map has no unsynchronized access; without it, that no
-// update is lost and no page ends up in two frames.
+// update is lost, no page ends up in two frames, no frame whose page was
+// never materialized has its own page taken, and at the end every page —
+// the frames' own and the workers' — is held exactly once.
 func TestPageMapConcurrentChurn(t *testing.T) {
 	const (
 		workers = 8
@@ -217,6 +219,11 @@ func TestPageMapConcurrentChurn(t *testing.T) {
 		shared  = 3
 	)
 	m := New(workers*2 + shared)
+	spares := make([]*PageData, workers) // each worker's page while its frame is free
+	for w := range spares {
+		spares[w] = new(PageData)
+	}
+	foreign := append([]*PageData(nil), spares...)
 	var sharedPFN [shared]PFN
 	for i := range sharedPFN {
 		pfn, err := m.AllocFrame()
@@ -241,13 +248,9 @@ func TestPageMapConcurrentChurn(t *testing.T) {
 				t.Errorf("mid-churn: %v", err)
 				return
 			}
-			held := map[*PageData]bool{}
-			for _, p := range m.AppendPages(nil) {
-				if held[p] {
-					t.Errorf("mid-churn: page %p in two frames", p)
-					return
-				}
-				held[p] = true
+			if err := checkHeldOnce(m.AppendPages(nil), nil); err != nil {
+				t.Errorf("mid-churn: %v", err)
+				return
 			}
 			for _, pfn := range sharedPFN {
 				if pg, _ := m.PageInfo(pfn); pg.Count < 1 || pg.Pins < 0 || pg.Pins >= pg.Count {
@@ -264,7 +267,8 @@ func TestPageMapConcurrentChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			buf := make([]byte, 64)
-			spare := new(PageData) // this worker's page while its frame is free
+			spare := spares[w]
+			defer func() { spares[w] = spare }()
 			for r := 0; r < rounds; r++ {
 				// A frame of this worker's own: the full life cycle.
 				handOff := r%2 == 1
@@ -334,10 +338,71 @@ func TestPageMapConcurrentChurn(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if err := checkHeldOnce(m.AppendPages(nil), spares); err != nil {
+		t.Fatal(err)
+	}
+	// Exact conservation: the frames and the workers between them hold
+	// every materialized own page and every page the workers brought.
+	refs := m.AppendPages(nil)
+	want := map[*PageData]bool{}
+	for _, p := range foreign {
+		want[p] = true
+	}
+	for _, r := range refs {
+		if r.Held != nil {
+			want[r.Own] = true
+		}
+	}
+	got := map[*PageData]bool{}
+	for _, r := range refs {
+		if r.Held != nil {
+			got[r.Held] = true
+		}
+	}
+	for _, p := range spares {
+		got[p] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d pages held after the churn, want %d", len(got), len(want))
+	}
+	for p := range want {
+		if !got[p] {
+			t.Fatalf("page %p lost in the churn", p)
+		}
+	}
 	if got := m.FreeFrames(); got != m.NumFrames() {
 		t.Fatalf("%d of %d frames free after the churn", got, m.NumFrames())
 	}
 	if s := m.Stats(); s.Allocs != s.Frees || s.Allocs != workers*rounds+shared {
 		t.Fatalf("stats %+v, want %d allocs and as many frees", s, workers*rounds+shared)
 	}
+}
+
+// checkHeldOnce is the conservation oracle for frames that exchange pages
+// with holders outside the memory (the churn's workers, holding extra):
+// no page is held twice, and the own page of a frame whose page was never
+// materialized is held by nobody.
+func checkHeldOnce(refs []PageRef, extra []*PageData) error {
+	held := map[*PageData]bool{}
+	for _, p := range extra {
+		if held[p] {
+			return fmt.Errorf("page %p held twice", p)
+		}
+		held[p] = true
+	}
+	for pfn, r := range refs {
+		if r.Held == nil {
+			continue
+		}
+		if held[r.Held] {
+			return fmt.Errorf("page %p of frame %d held twice", r.Held, pfn)
+		}
+		held[r.Held] = true
+	}
+	for pfn, r := range refs {
+		if r.Held == nil && r.Own != nil && held[r.Own] {
+			return fmt.Errorf("frame %d's own page was never materialized, yet it is held", pfn)
+		}
+	}
+	return nil
 }

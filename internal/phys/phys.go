@@ -21,7 +21,10 @@
 // A frame's bytes are a reference to a PageData.  The swap path moves
 // those references between frames and swap slots (PutHandOff,
 // AllocFrameWith) instead of copying 4 KiB each way; the model — PFNs,
-// physical addresses, the page map — does not see the difference.
+// physical addresses, the page map — does not see the difference.  The
+// pages themselves come from OwnPages, which allocates them in chunks
+// when a frame is first allocated, so RAM the simulation never uses costs
+// the host nothing.
 package phys
 
 import (
@@ -151,14 +154,15 @@ type Memory struct {
 	// paths pay one atomic load + branch).
 	inj atomic.Pointer[faultinject.Injector]
 
-	// slab is nframes * PageSize bytes, one allocation that never moves;
-	// frame i starts out holding slab page i.
-	slab []byte
-	// data is each frame's page.  It changes only while the frame has
-	// one owner: at allocation (AllocFrameWith) and at the free that
-	// hands it off (PutHandOff).
+	// data is each frame's page, nil until the frame's own page is
+	// materialized: when the frame is allocated, or first reached by
+	// DMA.  It changes owner only while the frame has one owner: at
+	// allocation (AllocFrameWith) and at the free that hands it off
+	// (PutHandOff).
 	data  []atomic.Pointer[PageData]
+	own   OwnPages
 	pages []page // the page map; never moves
+	size  Addr   // nframes * PageSize: the first address past the end
 
 	// mu guards the free list and the statistics.  Every transition of a
 	// Count to or from zero happens under it, so "Count == 0" and "on
@@ -186,22 +190,17 @@ func New(nframes int) *Memory {
 		panic("phys: nframes must be positive")
 	}
 	m := &Memory{
-		slab:  make([]byte, nframes*PageSize),
 		data:  make([]atomic.Pointer[PageData], nframes),
+		own:   NewOwnPages(nframes),
 		pages: make([]page, nframes),
+		size:  Addr(nframes) << PageShift,
 		free:  make([]PFN, 0, nframes),
 	}
 	// Hand out low frames first: push in reverse so the LIFO pops 0,1,2…
 	for i := nframes - 1; i >= 0; i-- {
-		m.data[i].Store(m.own(PFN(i)))
 		m.free = append(m.free, PFN(i))
 	}
 	return m
-}
-
-// own returns the slab page a frame starts out with.
-func (m *Memory) own(pfn PFN) *PageData {
-	return (*PageData)(m.slab[int(pfn)<<PageShift:])
 }
 
 // NumFrames reports the total number of frames.
@@ -226,10 +225,13 @@ func (m *Memory) Stats() Stats {
 // reclaim is the caller's job (mm.GetFreePage wraps this with
 // try_to_free_pages, exactly like get_free_pages in the kernel).
 func (m *Memory) AllocFrame() (PFN, error) {
-	pfn, err := m.alloc()
-	if err == nil {
+	m.mu.Lock()
+	pfn, fresh, err := m.alloc()
+	m.mu.Unlock()
+	if err == nil && !fresh {
 		// Zero the frame: get_free_page hands out zeroed memory.  The
-		// frame is the caller's alone by now, so this needs no lock.
+		// frame is the caller's alone by now, so this needs no lock.  A
+		// page materialized by the allocation is still as Go zeroed it.
 		clear(m.data[pfn].Load()[:])
 	}
 	return pfn, err
@@ -240,28 +242,33 @@ func (m *Memory) AllocFrame() (PFN, error) {
 // of being zero-filled, and the page it displaced is returned to the
 // caller, who owns it from then on.
 func (m *Memory) AllocFrameWith(pg *PageData) (PFN, *PageData, error) {
-	pfn, err := m.alloc()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	pfn, _, err := m.alloc()
 	if err != nil {
 		return NoPFN, nil, err
 	}
-	return pfn, m.data[pfn].Swap(pg), nil
+	return pfn, m.exchange(pfn, pg), nil
 }
 
-// alloc takes a frame off the free list with Count=1 and cleared flags.
-func (m *Memory) alloc() (PFN, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// alloc takes a frame off the free list with Count=1 and cleared flags,
+// and materializes its page; fresh reports that the page was materialized
+// just now, and so is zero.  The caller holds m.mu.
+func (m *Memory) alloc() (pfn PFN, fresh bool, err error) {
 	if len(m.free) == 0 {
 		m.stats.FailedAlloc++
-		return NoPFN, ErrOutOfMemory
+		return NoPFN, false, ErrOutOfMemory
 	}
-	pfn := m.free[len(m.free)-1]
+	pfn = m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
+	if m.data[pfn].Load() == nil {
+		_, fresh = m.materialize(pfn)
+	}
 	pg := &m.pages[pfn]
 	pg.flags.Store(0)
 	pg.refs.Store(oneRef)
 	m.stats.Allocs++
-	return pfn, nil
+	return pfn, fresh, nil
 }
 
 // Get increments the frame's reference count (get_page).
@@ -335,7 +342,7 @@ func (m *Memory) put(pfn PFN, spare *PageData) (freed bool, taken *PageData, err
 			if freed {
 				pg.flags.Store(0)
 				if spare != nil {
-					taken = m.data[pfn].Swap(spare)
+					taken = m.exchange(pfn, spare)
 				}
 				m.free = append(m.free, pfn)
 				m.stats.Frees++
@@ -444,7 +451,7 @@ func (m *Memory) ReadPhys(a Addr, buf []byte) error {
 			return err
 		}
 	}
-	if int(a)+len(buf) > len(m.slab) {
+	if !m.inRange(a, len(buf)) {
 		return ErrBadAddr
 	}
 	for len(buf) > 0 {
@@ -462,7 +469,7 @@ func (m *Memory) WritePhys(a Addr, buf []byte) error {
 			return err
 		}
 	}
-	if int(a)+len(buf) > len(m.slab) {
+	if !m.inRange(a, len(buf)) {
 		return ErrBadAddr
 	}
 	for len(buf) > 0 {
@@ -502,7 +509,7 @@ func (m *Memory) CopyPhys(dst, src Addr, n int) error { return m.copyRuns(dst, m
 // copyRuns is CopyFrom after the guards: one copy per stretch that is one
 // piece of host memory on both sides.
 func (m *Memory) copyRuns(dst Addr, sm *Memory, src Addr, n int) error {
-	if int(src)+n > len(sm.slab) || int(dst)+n > len(m.slab) {
+	if !sm.inRange(src, n) || !m.inRange(dst, n) {
 		return ErrBadAddr
 	}
 	for n > 0 {
@@ -512,43 +519,96 @@ func (m *Memory) copyRuns(dst Addr, sm *Memory, src Addr, n int) error {
 	return nil
 }
 
+// inRange reports whether the n bytes at physical address a all lie in
+// this memory, in unsigned arithmetic that no address or length overflows.
+func (m *Memory) inRange(a Addr, n int) bool {
+	return n >= 0 && Addr(n) <= m.size && a <= m.size-Addr(n)
+}
+
 // run returns the longest prefix of the n bytes at physical address a that
 // is one piece of host memory: the rest of the frame's page, extended from
-// frame to frame for as long as each still holds its own slab page.  A
-// memory that never swapped therefore copies each extent in one copy.
+// frame to frame within the frame's chunk for as long as each still holds
+// its own page.  A memory that never swapped therefore copies an extent in
+// one copy per chunk it touches (five for 1 MiB at most).  A frame never
+// allocated has its page materialized here, so raw DMA to it works.
 func (m *Memory) run(a Addr, n int) []byte {
 	pfn, off := FrameOf(a), int(a&PageMask)
-	p := m.data[pfn].Load()
-	switch {
-	case off+n <= PageSize:
+	p := m.frame(pfn)
+	if off+n <= PageSize {
 		return p[off : off+n]
-	case p != m.own(pfn):
+	}
+	c, j := m.own.chunks[pfn/chunkPages].Load(), int(pfn%chunkPages)
+	if p != c.page(j) {
 		return p[off:]
 	}
-	end, next := int(a)+n, int(pfn+1)<<PageShift
-	for next < end && m.data[next>>PageShift].Load() == m.own(PFN(next>>PageShift)) {
+	start := j<<PageShift + off
+	end := min(start+n, len(c))
+	next := (j + 1) << PageShift
+	for next < end && m.frame(pfn-PFN(j)+PFN(next>>PageShift)) == c.page(next>>PageShift) {
 		next += PageSize
 	}
-	return m.slab[a:min(next, end)]
+	return c[start:min(next, end)]
+}
+
+// frame returns the page frame pfn holds, materializing its own page if
+// it holds none.
+func (m *Memory) frame(pfn PFN) *PageData {
+	if p := m.data[pfn].Load(); p != nil {
+		return p
+	}
+	p, _ := m.materialize(pfn)
+	return p
+}
+
+// materialize makes a frame that holds no page hold its own, and returns
+// the page the frame holds.  fresh reports that this call installed it,
+// so it is still as Go zeroed it: an own page is written only once its
+// frame holds it.  Concurrent callers (racing first DMA touches) agree
+// through compare-and-swap on the chunk, then on the frame's reference.
+func (m *Memory) materialize(pfn PFN) (p *PageData, fresh bool) {
+	own := m.own.Get(int(pfn))
+	if m.data[pfn].CompareAndSwap(nil, own) {
+		return own, true
+	}
+	return m.data[pfn].Load(), false
+}
+
+// exchange makes frame pfn hold p and returns the page it held,
+// materializing the frame first.  p must not be nil: a nil would claim
+// the frame's own page back while someone else may hold it.
+func (m *Memory) exchange(pfn PFN, p *PageData) *PageData {
+	if p == nil {
+		panic("phys: hand-off of a nil page")
+	}
+	m.frame(pfn)
+	return m.data[pfn].Swap(p)
 }
 
 // FrameBytes returns the bytes of a frame's page, for CPU access to a
 // frame its caller owns: user copies, and the swap device's copies of
 // images that cannot change owner.  The slice stays the frame's only
 // while the caller owns the frame under the kernel lock: once the frame
-// is freed its page may move to a swap slot.
+// is freed its page may move to a swap slot.  An allocated frame's page
+// was materialized by the allocation; a free frame's is materialized
+// here if it never was.
 func (m *Memory) FrameBytes(pfn PFN) ([]byte, error) {
 	if _, err := m.page(pfn); err != nil {
 		return nil, err
 	}
-	return m.data[pfn].Load()[:], nil
+	return m.frame(pfn)[:], nil
 }
 
-// AppendPages appends each frame's page to dst in frame order: the view of
-// this memory that the page-conservation audit checks.
-func (m *Memory) AppendPages(dst []*PageData) []*PageData {
+// AppendPages appends each frame's PageRef to dst in frame order: the view
+// of this memory that the page-conservation audit (CheckConservation)
+// checks.  A frame never allocated nor reached by DMA holds a nil page.
+func (m *Memory) AppendPages(dst []PageRef) []PageRef {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for i := range m.data {
-		dst = append(dst, m.data[i].Load())
+		// Held before Own: a frame materialized meanwhile reads as
+		// (nil, own) or (own, own), never as a page without its chunk.
+		held := m.data[i].Load()
+		dst = append(dst, PageRef{Held: held, Own: m.own.Peek(i)})
 	}
 	return dst
 }

@@ -351,7 +351,7 @@ func TestAllocFrameWith(t *testing.T) {
 	img := new(PageData)
 	copy(img[:], "an image that already exists")
 	pfn, displaced, err := m.AllocFrameWith(img)
-	if err != nil || displaced != m.own(pfn) || m.data[pfn].Load() != img {
+	if err != nil || displaced != m.own.Peek(int(pfn)) || m.data[pfn].Load() != img {
 		t.Fatalf("pfn %d displaced %p (err %v)", pfn, displaced, err)
 	}
 	got := make([]byte, 28)
@@ -364,8 +364,8 @@ func TestAllocFrameWith(t *testing.T) {
 }
 
 // TestCopiesFollowPageReferences: the bus-master paths reach a frame's
-// current page, and copy frames that still hold their own slab pages as
-// one run.
+// current page, and copy frames that still hold their own pages as one
+// run.
 func TestCopiesFollowPageReferences(t *testing.T) {
 	m := New(4)
 	if got := len(m.run(10, 3*PageSize)); got != 3*PageSize {

@@ -1,7 +1,9 @@
 // Package swapdev simulates a swap partition: a fixed number of slots,
-// each owning one page, with allocation and per-slot use counts (a swap
+// each holding one page, with allocation and per-slot use counts (a swap
 // entry can be shared after fork, so slots are reference counted like the
-// kernel's swap_map).
+// kernel's swap_map).  Slot pages come from phys.OwnPages, so host memory
+// is allocated — a 256 KiB chunk at a time — only when a slot first holds
+// an image.
 //
 // Store and Load are the device write of a swap-out and the device read of
 // a swap-in.  Where ownership of the image can move — the evicted frame
@@ -34,9 +36,13 @@ type Stats struct {
 
 // Device is a simulated swap partition.
 type Device struct {
-	mu       sync.Mutex
-	pages    []*phys.PageData // each slot's page, free slots included
-	useCount []int32          // swap_map: 0 = free
+	mu sync.Mutex
+	// pages is each slot's page, free slots included; nil until the
+	// slot's own page is materialized (slot).  Only d.mu guards it: no
+	// bus master reaches a slot.
+	pages    []*phys.PageData
+	own      phys.OwnPages
+	useCount []int32 // swap_map: 0 = free
 	free     []Slot
 	stats    Stats
 }
@@ -48,20 +54,19 @@ var (
 	ErrFreeSlot = errors.New("swapdev: operation on free slot")
 )
 
-// New creates a device with nslots slots, each owning one page of a
-// single slab.
+// New creates a device with nslots slots, all free, none of whose pages
+// is materialized yet.
 func New(nslots int) *Device {
 	if nslots <= 0 {
 		panic("swapdev: invalid geometry")
 	}
-	slab := make([]phys.PageData, nslots)
 	d := &Device{
 		pages:    make([]*phys.PageData, nslots),
+		own:      phys.NewOwnPages(nslots),
 		useCount: make([]int32, nslots),
 		free:     make([]Slot, 0, nslots),
 	}
 	for i := nslots - 1; i >= 0; i-- {
-		d.pages[i] = &slab[i]
 		d.free = append(d.free, Slot(i))
 	}
 	return d
@@ -162,10 +167,10 @@ func (d *Device) Store(s Slot, m *phys.Memory, pfn phys.PFN) error {
 	// A Put that fails (the frame is already free, or pinned at its last
 	// reference — a broken locking strategy) hands nothing over, as the
 	// __free_page after a device write would, and the image is copied.
-	if pg, _ := m.PutHandOff(pfn, d.pages[s]); pg != nil {
+	if pg, _ := m.PutHandOff(pfn, d.slot(s)); pg != nil {
 		d.pages[s] = pg
 	} else {
-		copy(d.pages[s][:], fb)
+		copy(d.slot(s)[:], fb)
 	}
 	d.stats.Writes++
 	return nil
@@ -188,7 +193,7 @@ func (d *Device) Load(s Slot, m *phys.Memory, keep bool) (pfn phys.PFN, kept boo
 	}
 	sole := d.useCount[s] == 1
 	if sole && !keep {
-		pfn, displaced, err := m.AllocFrameWith(d.pages[s])
+		pfn, displaced, err := m.AllocFrameWith(d.slot(s))
 		if err != nil {
 			return phys.NoPFN, false, err
 		}
@@ -201,7 +206,7 @@ func (d *Device) Load(s Slot, m *phys.Memory, keep bool) (pfn phys.PFN, kept boo
 		return phys.NoPFN, false, err
 	}
 	fb, _ := m.FrameBytes(pfn) // a frame AllocFrame returned is in range
-	copy(fb, d.pages[s][:])
+	copy(fb, d.slot(s)[:])
 	d.stats.Reads++
 	if sole {
 		return pfn, true, nil
@@ -210,13 +215,26 @@ func (d *Device) Load(s Slot, m *phys.Memory, keep bool) (pfn phys.PFN, kept boo
 	return pfn, false, nil
 }
 
-// AppendPages appends each slot's page to dst in slot order, free slots
+// AppendPages appends each slot's PageRef to dst in slot order, free slots
 // included: the view of the device that the page-conservation audit
-// checks.
-func (d *Device) AppendPages(dst []*phys.PageData) []*phys.PageData {
+// (phys.CheckConservation) checks.  A slot that never held an image holds
+// a nil page.
+func (d *Device) AppendPages(dst []phys.PageRef) []phys.PageRef {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append(dst, d.pages...)
+	for i, p := range d.pages {
+		dst = append(dst, phys.PageRef{Held: p, Own: d.own.Peek(i)})
+	}
+	return dst
+}
+
+// slot returns the page slot s holds, materializing its own page if it
+// holds none, so that a hand-off never exchanges a nil.
+func (d *Device) slot(s Slot) *phys.PageData {
+	if d.pages[s] == nil {
+		d.pages[s] = d.own.Get(int(s))
+	}
+	return d.pages[s]
 }
 
 // CheckInvariants validates slot accounting.

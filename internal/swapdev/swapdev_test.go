@@ -180,13 +180,13 @@ func TestLoadCopiesWhatStaysAllocated(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			page := d.AppendPages(nil)[s]
+			page := d.AppendPages(nil)[s].Held
 			got, kept, err := d.Load(s, m, tc.keep)
 			if err != nil || kept != tc.kept {
 				t.Fatalf("load: kept=%v err=%v, want kept=%v", kept, err, tc.kept)
 			}
-			if d.UseCount(s) != 1 || d.AppendPages(nil)[s] != page {
-				t.Fatalf("slot: use count %d, page moved %v", d.UseCount(s), d.AppendPages(nil)[s] != page)
+			if d.UseCount(s) != 1 || d.AppendPages(nil)[s].Held != page {
+				t.Fatalf("slot: use count %d, page moved %v", d.UseCount(s), d.AppendPages(nil)[s].Held != page)
 			}
 			if fb, _ := m.FrameBytes(got); !bytes.Equal(fb, want) || &fb[0] == &page[0] {
 				t.Fatal("frame does not hold a copy of the image")
