@@ -46,7 +46,7 @@ func demo(strategy core.Strategy) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("registered %d pages; first page in frame %d\n", regionPages, phys.FrameOf(reg.Pages()[0]))
+	fmt.Printf("registered %d pages; first page in frame %d\n", regionPages, reg.Pages()[0])
 
 	res, err := pressure.Level(node.Kernel, 1.5)
 	if err != nil {

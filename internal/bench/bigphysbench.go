@@ -59,7 +59,7 @@ func bigphysTransfer(size int) (simtime.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	h, err := nic.RegisterMemory(block.PageAddrs(), 0, size, 3, via.MemAttrs{})
+	h, err := nic.RegisterMemory(block.PFNs(), 0, size, 3, via.MemAttrs{})
 	if err != nil {
 		return 0, err
 	}

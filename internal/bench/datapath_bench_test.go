@@ -39,13 +39,13 @@ func newDPRig(tb testing.TB, nVIs, pages int) *dpRig {
 		tb.Fatal(err)
 	}
 	reg := func(mem *phys.Memory, nic *via.NIC, tag via.ProtectionTag) via.MemHandle {
-		pp := make([]phys.Addr, pages)
+		pp := make([]phys.PFN, pages)
 		for i := range pp {
 			pfn, err := mem.AllocFrame()
 			if err != nil {
 				tb.Fatal(err)
 			}
-			pp[i] = pfn.Addr()
+			pp[i] = pfn
 		}
 		h, err := nic.RegisterMemory(pp, 0, pages*phys.PageSize, tag, via.MemAttrs{})
 		if err != nil {

@@ -154,5 +154,5 @@ func regPage(n *via.NIC, mem *phys.Memory, tag via.ProtectionTag) (via.MemHandle
 	if err != nil {
 		return 0, err
 	}
-	return n.RegisterMemory([]phys.Addr{pfn.Addr()}, 0, phys.PageSize, tag, via.MemAttrs{})
+	return n.RegisterMemory([]phys.PFN{pfn}, 0, phys.PageSize, tag, via.MemAttrs{})
 }

@@ -55,7 +55,7 @@ func SmallMsg(w io.Writer) error {
 	a.Fprint(w)
 
 	b := report.Series{
-		Title:  "E24b: doorbell batching and completion coalescing — per-op overheads vs batch size",
+		Title:  "E24b: batched posts and batched completion draining — per-op overheads vs batch size",
 		Note:   fmt.Sprintf("%d %d B inline sends per point over the 2-lane engine, posted in batches; one parked waiter drains the send CQ", smallMsgBatchMsgs, smallMsgBytes),
 		XLabel: "batch",
 		Lines:  []string{"doorbells/op", "CQ wakeups/op", "sim-µs/msg"},

@@ -215,12 +215,12 @@ func (b *Block) Read(off int, data []byte) error {
 	return b.area.kernel.Phys().ReadPhys(b.Addr()+phys.Addr(off), data)
 }
 
-// PageAddrs returns the block's per-page physical addresses, suitable
-// for NIC registration (trivially contiguous).
-func (b *Block) PageAddrs() []phys.Addr {
-	out := make([]phys.Addr, b.Frames)
+// PFNs returns the block's frames, suitable for NIC registration
+// (trivially contiguous).
+func (b *Block) PFNs() []phys.PFN {
+	out := make([]phys.PFN, b.Frames)
 	for i := range out {
-		out[i] = (b.Start + phys.PFN(i)).Addr()
+		out[i] = b.Start + phys.PFN(i)
 	}
 	return out
 }

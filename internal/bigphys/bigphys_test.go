@@ -145,7 +145,7 @@ func TestBlockRegistersWithNIC(t *testing.T) {
 	k, a := boot(t, 256, 32)
 	nic := via.NewNIC("n", k.Phys(), k.Meter(), 64)
 	b, _ := a.Alloc(4)
-	h, err := nic.RegisterMemory(b.PageAddrs(), 0, b.Bytes(), 9, via.MemAttrs{})
+	h, err := nic.RegisterMemory(b.PFNs(), 0, b.Bytes(), 9, via.MemAttrs{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func pressure(t *testing.T, k *mm.Kernel, pages int) {
 
 // residentMatches counts pages of [addr, npages) still backed by the
 // frames recorded in lockPages.
-func residentMatches(t *testing.T, k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, lockPages []phys.Addr) int {
+func residentMatches(t *testing.T, k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, lockPages []phys.PFN) int {
 	t.Helper()
 	n := 0
 	for i, want := range lockPages {
@@ -52,7 +52,7 @@ func residentMatches(t *testing.T, k *mm.Kernel, as *mm.AddressSpace, addr pgtab
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pfn != phys.NoPFN && pfn.Addr() == want {
+		if pfn != phys.NoPFN && pfn == want {
 			n++
 		}
 	}
@@ -88,16 +88,16 @@ func TestLockRecordsLayout(t *testing.T) {
 			if l.Offset != 100 {
 				t.Fatalf("offset = %d", l.Offset)
 			}
-			if len(l.Pages) != 3 {
-				t.Fatalf("pages = %d, want 3", len(l.Pages))
+			if len(l.Frames) != 3 {
+				t.Fatalf("pages = %d, want 3", len(l.Frames))
 			}
-			for i, pa := range l.Pages {
-				if pa&phys.PageMask != 0 {
-					t.Fatalf("page %d address %#x not aligned", i, pa)
+			for i, pfn := range l.Frames {
+				if k.Phys().RefCount(pfn) == 0 {
+					t.Fatalf("page %d frame %d is free", i, pfn)
 				}
 			}
 			// The recorded layout must match current page tables.
-			if got := residentMatches(t, k, as, addr, l.Pages); got != 3 {
+			if got := residentMatches(t, k, as, addr, l.Frames); got != 3 {
 				t.Fatalf("only %d/3 pages match at lock time", got)
 			}
 		})
@@ -150,7 +150,7 @@ func TestReliabilityUnderPressure(t *testing.T) {
 			defer func() { _ = l.Unlock() }()
 			pressure(t, k, 512) // 4x RAM
 
-			match := residentMatches(t, k, as, addr, l.Pages)
+			match := residentMatches(t, k, as, addr, l.Frames)
 			reliable := s.Properties().Reliable
 			switch {
 			case reliable && match != regPages:
@@ -183,7 +183,7 @@ func TestNestingSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			pressure(t, k, 512)
-			match := residentMatches(t, k, as, addr, l2.Pages)
+			match := residentMatches(t, k, as, addr, l2.Frames)
 			nests := s.Properties().Nests && s.Properties().Reliable
 			switch {
 			case nests && match != 2:
@@ -270,7 +270,7 @@ func TestPageFlagClobbersKernelIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfn := phys.FrameOf(l.Pages[0])
+	pfn := l.Frames[0]
 	// Kernel starts I/O on the same page (e.g. swap-cache writeback).
 	if err := k.LockPageIO(pfn); err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestKiobufDoesNotClobberKernelIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfn := phys.FrameOf(l.Pages[0])
+	pfn := l.Frames[0]
 	if err := k.LockPageIO(pfn); err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/kiobuf"
 	"repro/internal/mm"
 	"repro/internal/pgtable"
 	"repro/internal/phys"
@@ -84,25 +85,48 @@ func (s Strategy) Properties() Properties {
 }
 
 // Lock is one held lock on a user buffer: the physical page layout
-// recorded at lock time plus the strategy-specific release action.
+// recorded at lock time plus what the strategy holds to release it.
 type Lock struct {
 	// Strategy that produced the lock.
 	Strategy Strategy
-	// Pages are the page-aligned physical frame addresses backing the
-	// buffer at lock time, in order.  This is what goes into the TPT.
-	Pages []phys.Addr
-	// Offset is the buffer start offset within Pages[0].
+	// Frames are the physical frames backing the buffer at lock time, in
+	// order.  This is what goes into the TPT.  Under the kiobuf strategy
+	// it is the kiobuf's own page list, which Unlock hands back to the
+	// kernel and sets to nil.
+	Frames []phys.PFN
+	// Offset is the buffer start offset within Frames[0].
 	Offset int
 	// Length is the locked byte length.
 	Length int
 
-	unlock   func() error
+	// hold names what Unlock must release; k, kb and mlock are what the
+	// strategy recorded for that.
+	hold     hold
 	released bool
 	mu       sync.Mutex
+	k        *mm.Kernel
+	kb       kiobuf.Kiobuf
+	mlock    *mlockHold
 }
 
-// ErrAlreadyUnlocked reports a double unlock.
-var ErrAlreadyUnlocked = errors.New("core: lock already released")
+// hold is what a Lock keeps until Unlock.
+type hold uint8
+
+const (
+	holdNothing hold = iota // none strategy, or frames owned elsewhere
+	holdRefs                // one page reference per frame
+	holdFlags               // a reference plus PG_locked|PG_reserved
+	holdMlock               // one count of the mlock range
+	holdKiobuf              // a mapped kiobuf
+)
+
+// Errors returned by the lockers.
+var (
+	// ErrAlreadyUnlocked reports a double unlock.
+	ErrAlreadyUnlocked = errors.New("core: lock already released")
+	// ErrEmptyRange reports a lock of zero or negative length.
+	ErrEmptyRange = errors.New("core: empty range")
+)
 
 // Unlock releases the lock exactly once.
 func (l *Lock) Unlock() error {
@@ -112,10 +136,27 @@ func (l *Lock) Unlock() error {
 		return ErrAlreadyUnlocked
 	}
 	l.released = true
-	if l.unlock == nil {
-		return nil
+	switch l.hold {
+	case holdRefs, holdFlags:
+		var firstErr error
+		for _, pfn := range l.Frames {
+			if l.hold == holdFlags {
+				// "the PG_locked flag is reset regardless of the counter
+				// state" — this is what breaks nesting.
+				_ = l.k.Phys().ClearFlags(pfn, phys.PGLocked|phys.PGReserved)
+			}
+			if err := l.k.PutFrame(pfn); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		return firstErr
+	case holdMlock:
+		return l.mlock.release(l.k)
+	case holdKiobuf:
+		l.Frames = nil
+		return l.kb.Unmap()
 	}
-	return l.unlock()
+	return nil
 }
 
 // Released reports whether the lock has been released.
@@ -144,8 +185,10 @@ type Locker interface {
 // for it.
 type BatchLocker interface {
 	Locker
-	// LockNested is Lock for a caller already inside the kernel.
-	LockNested(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) (*Lock, error)
+	// LockNested is Lock for a caller already inside the kernel, into a
+	// Lock the caller owns (a driver keeps it in its registration
+	// record).  l must be zero.
+	LockNested(l *Lock, k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) error
 }
 
 // New returns the Locker implementing the strategy.
@@ -178,17 +221,17 @@ func MustNew(s Strategy) Locker {
 // pageSpan computes the page range covering [addr, addr+length).
 func pageSpan(addr pgtable.VAddr, length int) (start pgtable.VPN, npages, offset int, err error) {
 	if length <= 0 {
-		return 0, 0, 0, fmt.Errorf("core: empty range")
+		return 0, 0, 0, fmt.Errorf("%w: %d bytes", ErrEmptyRange, length)
 	}
 	start = pgtable.PageOf(addr)
 	last := pgtable.PageOf(addr + pgtable.VAddr(length-1))
 	return start, int(last-start) + 1, pgtable.Offset(addr), nil
 }
 
-// walkPages faults the range in and records the physical address of each
-// page by walking the page tables — the step every strategy except the
-// kiobuf one needs.
-func walkPages(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) ([]phys.Addr, error) {
+// walkPages faults the range in and records the frame of each page by
+// walking the page tables — the step every strategy except the kiobuf
+// one needs.
+func walkPages(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) ([]phys.PFN, error) {
 	start, npages, _, err := pageSpan(addr, length)
 	if err != nil {
 		return nil, err
@@ -196,13 +239,13 @@ func walkPages(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int
 	if err := k.MakePagesPresent(as, addr, npages, true); err != nil {
 		return nil, err
 	}
-	pages := make([]phys.Addr, npages)
+	frames := make([]phys.PFN, npages)
 	for i := 0; i < npages; i++ {
 		pa, err := k.WalkPhys(as, (start + pgtable.VPN(i)).Addr())
 		if err != nil {
 			return nil, err
 		}
-		pages[i] = pa
+		frames[i] = phys.FrameOf(pa)
 	}
-	return pages, nil
+	return frames, nil
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/caps"
-	"repro/internal/kiobuf"
 	"repro/internal/mm"
 	"repro/internal/pgtable"
 	"repro/internal/phys"
@@ -19,13 +18,13 @@ type noneLocker struct{}
 func (noneLocker) Name() Strategy { return StrategyNone }
 
 func (noneLocker) Lock(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) (*Lock, error) {
-	pages, err := walkPages(k, as, addr, length)
+	frames, err := walkPages(k, as, addr, length)
 	if err != nil {
 		return nil, err
 	}
 	return &Lock{
 		Strategy: StrategyNone,
-		Pages:    pages,
+		Frames:   frames,
 		Offset:   pgtable.Offset(addr),
 		Length:   length,
 	}, nil
@@ -41,33 +40,26 @@ type refcountLocker struct{}
 func (refcountLocker) Name() Strategy { return StrategyRefcount }
 
 func (refcountLocker) Lock(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) (*Lock, error) {
-	pages, err := walkPages(k, as, addr, length)
+	frames, err := walkPages(k, as, addr, length)
 	if err != nil {
 		return nil, err
 	}
 	ph := k.Phys()
-	for i, pa := range pages {
-		if err := ph.Get(phys.FrameOf(pa)); err != nil {
-			for _, done := range pages[:i] {
-				_ = k.PutFrame(phys.FrameOf(done))
+	for i, pfn := range frames {
+		if err := ph.Get(pfn); err != nil {
+			for _, done := range frames[:i] {
+				_ = k.PutFrame(done)
 			}
 			return nil, err
 		}
 	}
 	return &Lock{
 		Strategy: StrategyRefcount,
-		Pages:    pages,
+		Frames:   frames,
 		Offset:   pgtable.Offset(addr),
 		Length:   length,
-		unlock: func() error {
-			var firstErr error
-			for _, pa := range pages {
-				if err := k.PutFrame(phys.FrameOf(pa)); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			return firstErr
-		},
+		hold:     holdRefs,
+		k:        k,
 	}, nil
 }
 
@@ -84,18 +76,16 @@ type pageflagLocker struct{}
 func (pageflagLocker) Name() Strategy { return StrategyPageFlag }
 
 func (pageflagLocker) Lock(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) (*Lock, error) {
-	pages, err := walkPages(k, as, addr, length)
+	frames, err := walkPages(k, as, addr, length)
 	if err != nil {
 		return nil, err
 	}
 	ph := k.Phys()
-	for i, pa := range pages {
-		pfn := phys.FrameOf(pa)
+	for i, pfn := range frames {
 		if err := ph.Get(pfn); err != nil {
-			for _, done := range pages[:i] {
-				dp := phys.FrameOf(done)
-				_ = ph.ClearFlags(dp, phys.PGLocked|phys.PGReserved)
-				_ = k.PutFrame(dp)
+			for _, done := range frames[:i] {
+				_ = ph.ClearFlags(done, phys.PGLocked|phys.PGReserved)
+				_ = k.PutFrame(done)
 			}
 			return nil, err
 		}
@@ -103,24 +93,14 @@ func (pageflagLocker) Lock(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr
 		// exactly the unclean part.
 		_ = ph.SetFlags(pfn, phys.PGLocked|phys.PGReserved)
 	}
+	// Unlock clears the flags "regardless of the counter state" (§3.1).
 	return &Lock{
 		Strategy: StrategyPageFlag,
-		Pages:    pages,
+		Frames:   frames,
 		Offset:   pgtable.Offset(addr),
 		Length:   length,
-		unlock: func() error {
-			var firstErr error
-			for _, pa := range pages {
-				pfn := phys.FrameOf(pa)
-				// "the PG_locked flag is reset regardless of the counter
-				// state" — this is what breaks nesting.
-				_ = ph.ClearFlags(pfn, phys.PGLocked|phys.PGReserved)
-				if err := k.PutFrame(pfn); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			return firstErr
-		},
+		hold:     holdFlags,
+		k:        k,
 	}, nil
 }
 
@@ -170,7 +150,7 @@ func (m *mlockLocker) Lock(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr
 	}
 
 	// The driver must still walk the page tables itself for addresses.
-	pages, err := walkPages(k, as, addr, length)
+	frames, err := walkPages(k, as, addr, length)
 	if err != nil {
 		_ = k.DoMunlock(as, start.Addr(), npages)
 		return nil, err
@@ -182,23 +162,37 @@ func (m *mlockLocker) Lock(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr
 
 	return &Lock{
 		Strategy: StrategyMlock,
-		Pages:    pages,
+		Frames:   frames,
 		Offset:   offset,
 		Length:   length,
-		unlock: func() error {
-			m.mu.Lock()
-			m.counts[key]--
-			last := m.counts[key] == 0
-			if last {
-				delete(m.counts, key)
-			}
-			m.mu.Unlock()
-			if last {
-				return k.DoMunlock(as, start.Addr(), npages)
-			}
-			return nil
-		},
+		hold:     holdMlock,
+		k:        k,
+		mlock:    &mlockHold{m: m, as: as, key: key},
 	}, nil
+}
+
+// mlockHold is what an mlock Lock releases: one count of its range.
+type mlockHold struct {
+	m   *mlockLocker
+	as  *mm.AddressSpace
+	key mlockRange
+}
+
+// release drops one registration of the range, munlocking it on the
+// last one.
+func (h *mlockHold) release(k *mm.Kernel) error {
+	m := h.m
+	m.mu.Lock()
+	m.counts[h.key]--
+	last := m.counts[h.key] == 0
+	if last {
+		delete(m.counts, h.key)
+	}
+	m.mu.Unlock()
+	if last {
+		return k.DoMunlock(h.as, h.key.start.Addr(), h.key.npages)
+	}
+	return nil
 }
 
 // RangeCount reports the bookkeeping count for a range (tests only).
@@ -219,33 +213,31 @@ type kiobufLocker struct{}
 func (kiobufLocker) Name() Strategy { return StrategyKiobuf }
 
 func (kiobufLocker) Lock(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) (*Lock, error) {
-	return kiobufLock(k, as, addr, length, false)
+	l := new(Lock)
+	if err := l.mapKiobuf(k, as, addr, length, false); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // LockNested implements BatchLocker: the caller is already inside the
 // kernel, so the whole pin batch rides on that one crossing.
-func (kiobufLocker) LockNested(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) (*Lock, error) {
-	return kiobufLock(k, as, addr, length, true)
+func (kiobufLocker) LockNested(l *Lock, k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) error {
+	return l.mapKiobuf(k, as, addr, length, true)
 }
 
-func kiobufLock(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int, nested bool) (*Lock, error) {
-	mapKiobuf := kiobuf.MapUserKiobuf
+// mapKiobuf maps the range into the lock's own kiobuf; the lock's frame
+// list is the kiobuf's page list, not a copy of it.
+func (l *Lock) mapKiobuf(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int, nested bool) error {
+	var err error
 	if nested {
-		mapKiobuf = kiobuf.MapUserKiobufNested
+		err = l.kb.MapNested(k, as, addr, length)
+	} else {
+		err = l.kb.Map(k, as, addr, length)
 	}
-	kb, err := mapKiobuf(k, as, addr, length)
 	if err != nil {
-		return nil, fmt.Errorf("core: kiobuf lock: %w", err)
+		return fmt.Errorf("core: kiobuf lock: %w", err)
 	}
-	pages := make([]phys.Addr, len(kb.Pages))
-	for i, pfn := range kb.Pages {
-		pages[i] = pfn.Addr()
-	}
-	return &Lock{
-		Strategy: StrategyKiobuf,
-		Pages:    pages,
-		Offset:   kb.Offset,
-		Length:   length,
-		unlock:   kb.Unmap,
-	}, nil
+	l.Strategy, l.Frames, l.Offset, l.Length, l.hold = StrategyKiobuf, l.kb.Pages, l.kb.Offset, length, holdKiobuf
+	return nil
 }

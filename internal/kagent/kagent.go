@@ -24,6 +24,7 @@ import (
 	"repro/internal/mm"
 	"repro/internal/pgtable"
 	"repro/internal/phys"
+	"repro/internal/slab"
 	"repro/internal/trace"
 	"repro/internal/via"
 )
@@ -49,8 +50,11 @@ type Registration struct {
 	// Tag is the protection tag the region was registered under.
 	Tag via.ProtectionTag
 
-	lock *core.Lock
-	as   *mm.AddressSpace
+	// lock is the registration's hold on its pages: inPlace, which a
+	// BatchLocker fills, or the Lock a plain Locker allocated.
+	lock    *core.Lock
+	inPlace core.Lock
+	as      *mm.AddressSpace
 
 	// noPin marks a pin-free (RegNoPin) registration; notifierID and
 	// tracker tie it to the mm range notifier that keeps the TPT honest.
@@ -62,8 +66,10 @@ type Registration struct {
 // NoPin reports whether this is a pin-free registration.
 func (r *Registration) NoPin() bool { return r.noPin }
 
-// Pages reports the physical page addresses recorded at registration.
-func (r *Registration) Pages() []phys.Addr { return r.lock.Pages }
+// Pages reports the frames recorded at registration.  Under the kiobuf
+// strategy they are the kiobuf's list, which deregistration hands back
+// to the kernel: nil from then on.
+func (r *Registration) Pages() []phys.PFN { return r.lock.Frames }
 
 // regShards is the number of registration-table shards.  Power of two
 // so the shard index is a mask of the registration ID.
@@ -90,6 +96,9 @@ type Agent struct {
 
 	nextID atomic.Int64
 	shards [regShards]regShard
+	// records carves Registrations.  They are never reused, so a stale
+	// *Registration is never mistaken for a later one.
+	records slab.Slab[Registration]
 
 	// nopinMu guards nopinRegs, the handle→registration index the NIC's
 	// IO-page-fault upcall resolves against.
@@ -154,79 +163,72 @@ func (a *Agent) RegisterMem(as *mm.AddressSpace, addr pgtable.VAddr, length int,
 	}
 	// The ioctl charge above already entered the kernel; a strategy that
 	// can batch (the kiobuf one) pins the whole range on that single
-	// crossing instead of paying another one inside Lock.
-	var lock *core.Lock
+	// crossing, into the registration record, instead of paying another
+	// crossing inside Lock.
+	reg := a.records.New()
 	var err error
 	if bl, ok := a.locker.(core.BatchLocker); ok {
-		lock, err = bl.LockNested(a.kernel, as, addr, length)
+		reg.lock = &reg.inPlace
+		err = bl.LockNested(reg.lock, a.kernel, as, addr, length)
 	} else {
-		lock, err = a.locker.Lock(a.kernel, as, addr, length)
+		reg.lock, err = a.locker.Lock(a.kernel, as, addr, length)
 	}
 	if err != nil {
 		st.finishErr(trace.KindRegister)
 		return nil, fmt.Errorf("kagent: lock (%s): %w", a.locker.Name(), err)
 	}
-	st.mark(trace.KindPin, uint64(len(lock.Pages)))
-	handle, err := a.nic.RegisterMemory(lock.Pages, lock.Offset, length, tag, attrs)
+	lock := reg.lock
+	st.mark(trace.KindPin, uint64(len(lock.Frames)))
+	handle, err := a.nic.RegisterMemory(lock.Frames, lock.Offset, length, tag, attrs)
 	if err != nil {
 		_ = lock.Unlock()
 		st.finishErr(trace.KindRegister)
 		return nil, fmt.Errorf("kagent: TPT registration: %w", err)
 	}
-	st.mark(trace.KindTPTInsert, uint64(len(lock.Pages)))
-	reg := &Registration{
-		ID:     int(a.nextID.Add(1)),
-		Handle: handle,
-		Addr:   addr,
-		Length: length,
-		Tag:    tag,
-		lock:   lock,
-		as:     as,
-	}
+	st.mark(trace.KindTPTInsert, uint64(len(lock.Frames)))
+	reg.ID, reg.Handle, reg.Addr, reg.Length, reg.Tag, reg.as = int(a.nextID.Add(1)), handle, addr, length, tag, as
+	a.insert(reg)
+	st.finishOK(trace.KindRegister, uint64(handle))
+	return reg, nil
+}
+
+// insert enters a completed registration into its shard of the table.
+func (a *Agent) insert(reg *Registration) {
 	s := a.shard(reg.ID)
 	s.mu.Lock()
 	s.regs[reg.ID] = reg
 	s.mu.Unlock()
-	st.finishOK(trace.KindRegister, uint64(handle))
-	return reg, nil
 }
 
 // RegisterFrames enters kernel-owned frames into the TPT under the given
 // tag — the staging area of a remap receive.  No user range backs the
 // registration and no lock is taken: the caller (the message layer)
 // already owns the frames through mm frame donation, so the Lock record
-// carries only the page list and unlocks as a no-op.  The registration
+// carries only the frame list and unlocks as a no-op.  The registration
 // is deregistered through the ordinary DeregisterMem path.
-func (a *Agent) RegisterFrames(pages []phys.Addr, length int, tag via.ProtectionTag, attrs via.MemAttrs) (*Registration, error) {
+func (a *Agent) RegisterFrames(pfns []phys.PFN, length int, tag via.ProtectionTag, attrs via.MemAttrs) (*Registration, error) {
 	st := a.regStart(trace.KindRegister, 0, length)
 	// The staging grant ioctl: one kernel call, like RegisterMem.
 	if m := a.kernel.Meter(); m != nil {
 		m.Charge(m.Costs.KernelCall)
 	}
 	if inj := a.inj.Load(); inj != nil {
-		if err := inj.Check(faultinject.Op{Site: SiteRegister, Key: uint64(len(pages)), N: length}); err != nil {
+		if err := inj.Check(faultinject.Op{Site: SiteRegister, Key: uint64(len(pfns)), N: length}); err != nil {
 			st.finishErr(trace.KindRegister)
 			return nil, fmt.Errorf("%w: %w", ErrRegistrationFault, err)
 		}
 	}
-	lock := &core.Lock{Strategy: a.locker.Name(), Pages: pages, Length: length}
-	handle, err := a.nic.RegisterMemory(lock.Pages, 0, length, tag, attrs)
+	handle, err := a.nic.RegisterMemory(pfns, 0, length, tag, attrs)
 	if err != nil {
 		st.finishErr(trace.KindRegister)
 		return nil, fmt.Errorf("kagent: TPT registration: %w", err)
 	}
-	st.mark(trace.KindTPTInsert, uint64(len(pages)))
-	reg := &Registration{
-		ID:     int(a.nextID.Add(1)),
-		Handle: handle,
-		Length: length,
-		Tag:    tag,
-		lock:   lock,
-	}
-	s := a.shard(reg.ID)
-	s.mu.Lock()
-	s.regs[reg.ID] = reg
-	s.mu.Unlock()
+	st.mark(trace.KindTPTInsert, uint64(len(pfns)))
+	reg := a.records.New()
+	reg.lock = &reg.inPlace
+	reg.inPlace.Strategy, reg.inPlace.Frames, reg.inPlace.Length = a.locker.Name(), pfns, length
+	reg.ID, reg.Handle, reg.Length, reg.Tag = int(a.nextID.Add(1)), handle, length, tag
+	a.insert(reg)
 	st.finishOK(trace.KindRegister, uint64(handle))
 	return reg, nil
 }
@@ -258,7 +260,7 @@ func (a *Agent) DeregisterMem(reg *Registration) error {
 		st.finishErr(trace.KindDeregister)
 		return err
 	}
-	st.mark(trace.KindTPTInvalidate, uint64(len(reg.lock.Pages)))
+	st.mark(trace.KindTPTInvalidate, uint64(len(reg.lock.Frames)))
 	err := reg.lock.Unlock()
 	st.finishOK(trace.KindDeregister, uint64(reg.Handle))
 	return err
@@ -286,13 +288,13 @@ func (a *Agent) ConsistentPages(reg *Registration) (consistent, total int, err e
 		return a.consistentNoPin(reg)
 	}
 	start := pgtable.PageOf(reg.Addr)
-	total = len(reg.lock.Pages)
+	total = len(reg.lock.Frames)
 	for i := 0; i < total; i++ {
 		pfn, err := a.kernel.ResidentPFN(reg.as, (start + pgtable.VPN(i)).Addr())
 		if err != nil {
 			return consistent, total, err
 		}
-		if pfn != phys.NoPFN && pfn.Addr() == reg.lock.Pages[i] {
+		if pfn != phys.NoPFN && pfn == reg.lock.Frames[i] {
 			consistent++
 		}
 	}

@@ -94,15 +94,15 @@ func (a *Agent) registerNoPin(as *mm.AddressSpace, addr pgtable.VAddr, length in
 		st.finishErr(trace.KindRegister)
 		return nil, fmt.Errorf("kagent: nopin walk: %w", err)
 	}
-	st.mark(trace.KindPin, uint64(len(lock.Pages)))
+	st.mark(trace.KindPin, uint64(len(lock.Frames)))
 
-	handle, err := a.nic.RegisterMemory(lock.Pages, lock.Offset, length, tag, attrs)
+	handle, err := a.nic.RegisterMemory(lock.Frames, lock.Offset, length, tag, attrs)
 	if err != nil {
 		a.kernel.UnregisterRangeNotifier(nid)
 		st.finishErr(trace.KindRegister)
 		return nil, fmt.Errorf("kagent: TPT registration: %w", err)
 	}
-	st.mark(trace.KindTPTInsert, uint64(len(lock.Pages)))
+	st.mark(trace.KindTPTInsert, uint64(len(lock.Frames)))
 
 	reg := &Registration{
 		ID:         int(a.nextID.Add(1)),
@@ -119,10 +119,7 @@ func (a *Agent) registerNoPin(as *mm.AddressSpace, addr pgtable.VAddr, length in
 	a.nopinMu.Lock()
 	a.nopinRegs[handle] = reg
 	a.nopinMu.Unlock()
-	s := a.shard(reg.ID)
-	s.mu.Lock()
-	s.regs[reg.ID] = reg
-	s.mu.Unlock()
+	a.insert(reg)
 	// Arm last: from here every notifier event goes straight to the TPT,
 	// and anything that fired during setup has just been replayed.
 	tr.arm(handle)
@@ -150,7 +147,7 @@ func (a *Agent) resolveIOFault(h via.MemHandle, page int) error {
 	if reg == nil {
 		return fmt.Errorf("%w: no nopin registration for handle %d", ErrUnknownRegistration, h)
 	}
-	if page < 0 || page >= len(reg.lock.Pages) {
+	if page < 0 || page >= len(reg.lock.Frames) {
 		return fmt.Errorf("kagent: IO fault for page %d outside handle %d", page, h)
 	}
 	// Servicing the fault is a host interrupt: one kernel crossing.
@@ -171,7 +168,7 @@ func (a *Agent) resolveIOFault(h via.MemHandle, page int) error {
 // hazard the notifier exists to prevent.
 func (a *Agent) consistentNoPin(reg *Registration) (consistent, total int, err error) {
 	start := pgtable.PageOf(reg.Addr)
-	total = len(reg.lock.Pages)
+	total = len(reg.lock.Frames)
 	for i := 0; i < total; i++ {
 		pa, present, err := a.nic.TPTPageState(reg.Handle, i)
 		if err != nil {

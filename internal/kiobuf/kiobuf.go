@@ -32,7 +32,7 @@ type Kiobuf struct {
 
 	mapped bool
 	// nested records that the map was made from inside the kernel
-	// (MapUserKiobufNested), so the unmap must not charge a crossing
+	// (MapNested), so the unmap must not charge a crossing
 	// either.
 	nested bool
 }
@@ -40,6 +40,7 @@ type Kiobuf struct {
 // Errors returned by the facility.
 var (
 	ErrNotMapped = errors.New("kiobuf: buffer not mapped")
+	ErrMapped    = errors.New("kiobuf: buffer already mapped")
 	ErrEmpty     = errors.New("kiobuf: empty range")
 )
 
@@ -59,20 +60,34 @@ func PageCount(addr pgtable.VAddr, length int) int {
 // range require N unmaps before the pages become evictable again —
 // exactly the nesting the VIA specification demands of registrations.
 func MapUserKiobuf(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) (*Kiobuf, error) {
-	return mapUserKiobuf(k, as, addr, length, false)
+	b := new(Kiobuf)
+	if err := b.Map(k, as, addr, length); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
-// MapUserKiobufNested is MapUserKiobuf for callers already executing
-// inside the kernel (a driver servicing an ioctl): the pin batch is
-// identical but no kernel crossing is charged on map or on the later
-// Unmap — the caller's own entry covers the whole batch.
-func MapUserKiobufNested(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) (*Kiobuf, error) {
-	return mapUserKiobuf(k, as, addr, length, true)
+// Map is MapUserKiobuf into a kiobuf the caller owns (a driver keeps it
+// inside its registration record).  The kiobuf must not be mapped.
+func (b *Kiobuf) Map(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) error {
+	return b.mapUser(k, as, addr, length, false)
 }
 
-func mapUserKiobuf(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int, nested bool) (*Kiobuf, error) {
+// MapNested is Map for callers already executing inside the kernel (a
+// driver servicing an ioctl): the pin batch is identical but no kernel
+// crossing is charged on map or on the later Unmap — the caller's own
+// entry covers the whole batch.  The page list is the kernel's (see
+// mm.Kernel.PinUserPagesNested): Unmap hands it back.
+func (b *Kiobuf) MapNested(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int) error {
+	return b.mapUser(k, as, addr, length, true)
+}
+
+func (b *Kiobuf) mapUser(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length int, nested bool) error {
+	if b.mapped {
+		return ErrMapped
+	}
 	if length <= 0 {
-		return nil, ErrEmpty
+		return ErrEmpty
 	}
 	n := PageCount(addr, length)
 	pin := k.PinUserPages
@@ -81,9 +96,9 @@ func mapUserKiobuf(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length
 	}
 	pfns, err := pin(as, addr, n, true)
 	if err != nil {
-		return nil, fmt.Errorf("kiobuf: map_user_kiobuf: %w", err)
+		return fmt.Errorf("kiobuf: map_user_kiobuf: %w", err)
 	}
-	return &Kiobuf{
+	*b = Kiobuf{
 		kernel: k,
 		as:     as,
 		Offset: pgtable.Offset(addr),
@@ -91,7 +106,8 @@ func mapUserKiobuf(k *mm.Kernel, as *mm.AddressSpace, addr pgtable.VAddr, length
 		Pages:  pfns,
 		mapped: true,
 		nested: nested,
-	}, nil
+	}
+	return nil
 }
 
 // Unmap releases the kiobuf's pins (unmap_kiobuf).  It is an error to

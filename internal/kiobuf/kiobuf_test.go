@@ -247,3 +247,42 @@ func TestUnmapAfterProcessPressureKeepsInvariants(t *testing.T) {
 		t.Fatalf("unexpected pins remaining: %d", got)
 	}
 }
+
+// TestMapNestedIntoOwnedKiobuf: a kiobuf the caller owns maps in place,
+// refuses a second map while mapped (it would strand the first pins),
+// hands its page list back on Unmap, and maps again afterwards — the
+// next nested map reusing the list the kernel took back.
+func TestMapNestedIntoOwnedKiobuf(t *testing.T) {
+	k, as, addr := setup(t)
+	var b Kiobuf
+	if err := b.MapNested(k, as, addr, 3*phys.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	list, frames := &b.Pages[0], append([]phys.PFN(nil), b.Pages...)
+	if err := b.MapNested(k, as, addr, phys.PageSize); !errors.Is(err, ErrMapped) {
+		t.Fatalf("second map: err = %v, want ErrMapped", err)
+	}
+	if err := b.Unmap(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Pages != nil {
+		t.Fatal("unmap left the page list behind")
+	}
+	for _, pfn := range frames {
+		if pins := k.Phys().Pins(pfn); pins != 0 {
+			t.Fatalf("frame %d still has %d pins", pfn, pins)
+		}
+	}
+	if err := b.MapNested(k, as, addr+phys.PageSize, 2*phys.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if &b.Pages[0] != list {
+		t.Fatal("the next nested map did not reuse the list the kernel took back")
+	}
+	if err := b.Unmap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

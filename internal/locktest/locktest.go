@@ -169,7 +169,7 @@ func Run(strategy core.Strategy, cfg Config) (Result, error) {
 		return res, err
 	}
 	for i, pfn := range nowPFNs {
-		if pfn == phys.NoPFN || pfn.Addr() != regPages[i] {
+		if pfn == phys.NoPFN || pfn != regPages[i] {
 			res.PagesRelocated++
 		}
 	}

@@ -144,6 +144,10 @@ type Kernel struct {
 	// store).
 	kernelPin bool
 
+	// pinLists holds the frame lists UnpinUserPagesNested took back,
+	// for the next PinUserPagesNested batch (LIFO).
+	pinLists [][]phys.PFN
+
 	stats Stats
 
 	// kswapd control.

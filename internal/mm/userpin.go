@@ -30,6 +30,12 @@ func (k *Kernel) PinUserPages(as *AddressSpace, addr pgtable.VAddr, npages int, 
 // same fault-in + pin batch under the kernel lock but charges no
 // KernelCall — the whole page list costs one crossing total, which is
 // the kiobuf batching argument of the paper.
+//
+// The frame list is kernel memory, like a kiobuf's map list: it comes
+// from a free list the kernel keeps under its lock, and
+// UnpinUserPagesNested takes it back for the next batch, so a driver's
+// pin/unpin cycle allocates nothing once the list is warm.  The caller
+// must not touch the list after handing it to UnpinUserPagesNested.
 func (k *Kernel) PinUserPagesNested(as *AddressSpace, addr pgtable.VAddr, npages int, write bool) ([]phys.PFN, error) {
 	return k.pinUserPages(as, addr, npages, write, false)
 }
@@ -48,27 +54,24 @@ func (k *Kernel) pinUserPages(as *AddressSpace, addr pgtable.VAddr, npages int, 
 	// to their frozen frames instead of raising the scribble policy.
 	k.kernelPin = true
 	defer func() { k.kernelPin = false }()
-	pfns := make([]phys.PFN, 0, npages)
-	undo := func() {
-		for _, pfn := range pfns {
-			_ = k.phys.Unpin(pfn)
-			_ = k.putMappedFrameLocked(pfn)
-		}
+	var pfns []phys.PFN
+	if n := len(k.pinLists); !crossing && n > 0 {
+		pfns, k.pinLists = k.pinLists[n-1], k.pinLists[:n-1]
+	} else {
+		pfns = make([]phys.PFN, 0, npages)
 	}
 	for i := 0; i < npages; i++ {
 		v := start + pgtable.VPN(i)
 		pfn, err := k.translateLocked(as, v, write)
+		if err == nil {
+			if err = k.phys.Get(pfn); err == nil {
+				if err = k.phys.Pin(pfn); err != nil {
+					_, _ = k.phys.Put(pfn)
+				}
+			}
+		}
 		if err != nil {
-			undo()
-			return nil, err
-		}
-		if err := k.phys.Get(pfn); err != nil {
-			undo()
-			return nil, err
-		}
-		if err := k.phys.Pin(pfn); err != nil {
-			_, _ = k.phys.Put(pfn)
-			undo()
+			k.unpinLocked(pfns, !crossing)
 			return nil, err
 		}
 		pfns = append(pfns, pfn)
@@ -91,7 +94,7 @@ func (k *Kernel) UnpinUserPages(pfns []phys.PFN) error {
 
 // UnpinUserPagesNested is UnpinUserPages without the KernelCall charge,
 // for callers already inside the kernel (paired with
-// PinUserPagesNested).
+// PinUserPagesNested, whose list it takes back).
 func (k *Kernel) UnpinUserPagesNested(pfns []phys.PFN) error {
 	return k.unpinUserPages(pfns, false)
 }
@@ -102,6 +105,13 @@ func (k *Kernel) unpinUserPages(pfns []phys.PFN, crossing bool) error {
 	if crossing {
 		k.charge(k.costs().KernelCall)
 	}
+	return k.unpinLocked(pfns, !crossing)
+}
+
+// unpinLocked drops the pin and the reference on every frame of the
+// list, reporting the first failure.  With recycle set the list goes
+// back on the kernel's free list (the nested pair's contract).
+func (k *Kernel) unpinLocked(pfns []phys.PFN, recycle bool) error {
 	var firstErr error
 	for _, pfn := range pfns {
 		if err := k.phys.Unpin(pfn); err != nil && firstErr == nil {
@@ -110,6 +120,9 @@ func (k *Kernel) unpinUserPages(pfns []phys.PFN, crossing bool) error {
 		if err := k.putMappedFrameLocked(pfn); err != nil && firstErr == nil {
 			firstErr = err
 		}
+	}
+	if recycle && cap(pfns) > 0 {
+		k.pinLists = append(k.pinLists, pfns[:0])
 	}
 	return firstErr
 }

@@ -85,11 +85,7 @@ func (e *Endpoint) stageFrames(size int) (staging, error) {
 	if err != nil {
 		return staging{}, err
 	}
-	addrs := make([]phys.Addr, len(pfns))
-	for i, p := range pfns {
-		addrs[i] = p.Addr()
-	}
-	reg, err := e.nic.RegisterFrames(addrs, size, via.MemAttrs{EnableRDMAWrite: true})
+	reg, err := e.nic.RegisterFrames(pfns, size, via.MemAttrs{EnableRDMAWrite: true})
 	if err != nil {
 		_ = kern.ReleaseDonated(pfns)
 		return staging{}, err

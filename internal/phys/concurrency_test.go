@@ -67,7 +67,7 @@ func (m *lockedModel) put(pfn PFN) (bool, error) {
 		return false, fmt.Errorf("%w: put on pfn %d", ErrFrameFree, pfn)
 	}
 	if pg.Count == 1 && pg.Pins != 0 {
-		return false, fmt.Errorf("phys: pfn %d refcount reached zero with %d pins", pfn, pg.Pins)
+		return false, fmt.Errorf("%w: pfn %d, %d pins", ErrPinnedFree, pfn, pg.Pins)
 	}
 	pg.Count--
 	if pg.Count == 0 {
@@ -97,7 +97,7 @@ func (m *lockedModel) unpin(pfn PFN) error {
 		return err
 	}
 	if pg.Pins <= 0 {
-		return fmt.Errorf("phys: unpin on pfn %d with no pins", pfn)
+		return fmt.Errorf("%w: pfn %d", ErrNotPinned, pfn)
 	}
 	pg.Pins--
 	return nil
@@ -117,7 +117,7 @@ func sameErr(got, want error) bool {
 	if got == nil || want == nil {
 		return got == nil && want == nil
 	}
-	for _, typed := range []error{ErrBadPFN, ErrFrameFree, ErrOutOfMemory} {
+	for _, typed := range []error{ErrBadPFN, ErrFrameFree, ErrOutOfMemory, ErrPinnedFree, ErrNotPinned} {
 		if errors.Is(got, typed) != errors.Is(want, typed) {
 			return false
 		}

@@ -182,6 +182,11 @@ var (
 	ErrBadPFN      = errors.New("phys: bad frame number")
 	ErrBadAddr     = errors.New("phys: physical address out of range")
 	ErrFrameFree   = errors.New("phys: operation on free frame")
+	// ErrPinnedFree reports a frame whose last reference went while
+	// pins were outstanding: a broken locking strategy.
+	ErrPinnedFree = errors.New("phys: refcount reached zero with pins outstanding")
+	// ErrNotPinned reports an unpin of a frame with no pins.
+	ErrNotPinned = errors.New("phys: unpin of a frame with no pins")
 )
 
 // New creates a node with nframes physical frames, all free.
@@ -335,7 +340,7 @@ func (m *Memory) put(pfn PFN, spare *PageData) (freed bool, taken *PageData, err
 			// A pinned frame must always hold a reference; reaching zero
 			// with pins outstanding indicates a broken locking strategy.
 			// The count is left at one so the invariant checker can see it.
-			return false, nil, fmt.Errorf("phys: pfn %d refcount reached zero with %d pins", pfn, pins)
+			return false, nil, fmt.Errorf("%w: pfn %d, %d pins", ErrPinnedFree, pfn, pins)
 		default:
 			m.mu.Lock()
 			freed = pg.refs.CompareAndSwap(r, 0)
@@ -399,7 +404,7 @@ func (m *Memory) Unpin(pfn PFN) error {
 	for {
 		r := pg.refs.Load()
 		if int32(r>>32) <= 0 {
-			return fmt.Errorf("phys: unpin on pfn %d with no pins", pfn)
+			return fmt.Errorf("%w: pfn %d", ErrNotPinned, pfn)
 		}
 		if pg.refs.CompareAndSwap(r, r-onePin) {
 			return nil

@@ -151,6 +151,70 @@ func TestSingleFlightFailure(t *testing.T) {
 	}
 }
 
+// TestFollowerWaitsOnFailingLeader: a follower parked on an in-flight
+// miss (on the cache's settled condition) wakes when the leader fails,
+// reads the leader's error, and only then is the placeholder recycled —
+// the next miss reuses it, and succeeds once the kernel does.
+func TestFollowerWaitsOnFailingLeader(t *testing.T) {
+	r, gate := gatedRig(t, 64)
+	c := New(r.nic, 0)
+	b := r.buf(t, 1)
+	acquire := func() chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Acquire(b, 0, b.Bytes, via.MemAttrs{}, ClassUser)
+			done <- err
+		}()
+		return done
+	}
+	leader := acquire()
+	<-gate.entered
+	follower := acquire()
+	// Wait until the follower is parked on the leader's placeholder.
+	for parked := false; !parked; {
+		c.mu.Lock()
+		for _, e := range c.entries {
+			parked = e.inflight && e.waiters == 1
+		}
+		c.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	gate.fail.Store(true)
+	close(gate.gate)
+	lerr, ferr := <-leader, <-follower
+	if lerr == nil || ferr == nil || lerr.Error() != ferr.Error() {
+		t.Fatalf("leader err %v, follower err %v: want the leader's failure for both", lerr, ferr)
+	}
+	c.mu.Lock()
+	spare, left := c.spare, len(c.entries)
+	c.mu.Unlock()
+	if spare == nil || left != 0 {
+		t.Fatalf("placeholder not recycled after its last reader (spare %v, %d entries)", spare, left)
+	}
+	gate.fail.Store(false)
+	go func() {
+		for range gate.entered {
+		}
+	}()
+	reg, err := c.Acquire(b, 0, b.Bytes, via.MemAttrs{}, ClassUser)
+	close(gate.entered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	reused := c.entries[key{addr: b.Addr, length: b.Bytes}] == spare
+	c.mu.Unlock()
+	if !reused {
+		t.Fatal("the next miss did not reuse the recycled entry")
+	}
+	if st := c.Stats(); st.Failures != 1 || st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("stats %+v: want 1 failure, 2 misses, no hit", st)
+	}
+	if err := c.Release(reg); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentStress hammers one cache from many goroutines over a
 // small TPT with a mixed hit/miss workload, then checks that nothing was
 // lost: every success had a matching release, the stats balance, and a

@@ -92,9 +92,13 @@ type key struct {
 }
 
 // entry is one cache slot.  While a registration is in flight the entry
-// is a placeholder: region is nil and ready is the channel the
-// single-flight leader closes once the kernel call finishes (err is set
-// first on failure).  A materialized entry has ready == nil.
+// is a placeholder: region is nil and inflight is set until the
+// single-flight leader settles it (err is set first on failure) and
+// broadcasts the cache's settled condition.
+//
+// Entries are recycled through the cache's spare list once nothing can
+// reach them: out of the index, their registration (if any) dropped on
+// the NIC (gone), and no follower still waiting to read the outcome.
 type entry struct {
 	key    key
 	class  Class
@@ -103,12 +107,15 @@ type entry struct {
 
 	// idle entries (refs==0) sit on their class's LRU list through
 	// prev/next; evicted entries are handed to deregisterEvicted on a
-	// list of their own, in eviction order.
+	// list of their own, in eviction order; spare entries chain through
+	// next.
 	linked     bool
 	prev, next *entry
 
-	ready chan struct{} // single-flight: closed when registration settles
-	err   error         // single-flight: leader's failure, read after ready
+	inflight bool  // single-flight: registration not yet settled
+	waiters  int   // single-flight: followers yet to read the outcome
+	err      error // single-flight: leader's failure
+	gone     bool  // out of the index with its registration dropped
 }
 
 // lruList is an intrusive list of entries, oldest first: the idle
@@ -160,6 +167,10 @@ type Cache struct {
 	// PolicyGlobalLRU every entry lives on list 0.
 	lru   [3]lruList
 	stats Stats
+	// settled is broadcast (on mu) whenever an in-flight registration
+	// settles; spare chains recycled entries.
+	settled sync.Cond
+	spare   *entry
 }
 
 // Errors returned by the cache.
@@ -177,11 +188,31 @@ var (
 // New creates a cache over the NIC handle.  maxRegions bounds the cache
 // (0 = unbounded, rely on TPT capacity).
 func New(nic *vipl.Nic, maxRegions int) *Cache {
-	return &Cache{
+	c := &Cache{
 		nic:        nic,
 		maxRegions: maxRegions,
 		entries:    make(map[key]*entry),
 		regions:    make(map[*vipl.MemRegion]*entry),
+	}
+	c.settled.L = &c.mu
+	return c
+}
+
+// newEntryLocked takes an entry from the spare list, or makes one.
+func (c *Cache) newEntryLocked() *entry {
+	e := c.spare
+	if e == nil {
+		return new(entry)
+	}
+	c.spare, e.next = e.next, nil
+	return e
+}
+
+// putEntryLocked recycles e if nothing can reach it any more.
+func (c *Cache) putEntryLocked(e *entry) {
+	if e.gone && e.waiters == 0 {
+		*e = entry{next: c.spare}
+		c.spare = e
 	}
 }
 
@@ -241,18 +272,22 @@ func (c *Cache) Acquire(b *proc.Buffer, off, length int, attrs via.MemAttrs, cla
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[k]; ok {
-			if e.ready != nil {
+			if e.inflight {
 				// Registration in flight: wait for the leader.
-				ready := e.ready
+				e.waiters++
 				c.mu.Unlock()
 				if obs := c.obs.Load(); obs != nil {
 					obs.event(trace.KindCacheWait, uint64(k.addr), length)
 				}
-				<-ready
 				c.mu.Lock()
-				if e.err != nil {
+				for e.inflight {
+					c.settled.Wait()
+				}
+				e.waiters--
+				if err := e.err; err != nil {
+					c.putEntryLocked(e)
 					c.mu.Unlock()
-					return nil, e.err
+					return nil, err
 				}
 				if c.entries[k] == e {
 					c.holdLocked(e, class)
@@ -265,6 +300,7 @@ func (c *Cache) Acquire(b *proc.Buffer, off, length int, attrs via.MemAttrs, cla
 				}
 				// Materialized and already evicted in the window before we
 				// re-took the lock: start over.
+				c.putEntryLocked(e)
 				c.mu.Unlock()
 				continue
 			}
@@ -279,7 +315,8 @@ func (c *Cache) Acquire(b *proc.Buffer, off, length int, attrs via.MemAttrs, cla
 
 		// Miss: become the single-flight leader.  The placeholder keeps
 		// followers out of the kernel; refs==1 keeps eviction away.
-		e := &entry{key: k, class: class, refs: 1, ready: make(chan struct{})}
+		e := c.newEntryLocked()
+		e.key, e.class, e.refs, e.inflight = k, class, 1, true
 		c.entries[k] = e
 		c.stats.Misses++
 		c.mu.Unlock()
@@ -296,20 +333,19 @@ func (c *Cache) Acquire(b *proc.Buffer, off, length int, attrs via.MemAttrs, cla
 		}
 
 		c.mu.Lock()
-		ready := e.ready
-		e.ready = nil
+		e.inflight = false
+		c.settled.Broadcast()
 		if err != nil {
-			e.err = err
+			e.err, e.gone = err, true
 			delete(c.entries, k)
 			c.stats.Failures++
-			close(ready)
+			c.putEntryLocked(e)
 			c.mu.Unlock()
 			return nil, err
 		}
 		e.region = region
 		c.regions[region] = e
 		victims := c.collectOverCapLocked()
-		close(ready)
 		c.mu.Unlock()
 		c.deregisterEvicted(victims)
 		return region, nil
@@ -453,9 +489,12 @@ func (c *Cache) unlinkVictimLocked(idx int) *entry {
 }
 
 // deregisterEvicted drops a chain of evicted regions on the NIC, counting
-// failures in Stats.EvictErrors and returning the first.  Runs outside
-// the cache lock.
+// failures in Stats.EvictErrors and returning the first, then recycles
+// the entries.  The deregistrations run outside the cache lock.
 func (c *Cache) deregisterEvicted(victims *entry) error {
+	if victims == nil {
+		return nil
+	}
 	var failed uint64
 	var firstErr error
 	for v := victims; v != nil; v = v.next {
@@ -466,10 +505,14 @@ func (c *Cache) deregisterEvicted(victims *entry) error {
 			}
 		}
 	}
-	if failed > 0 {
-		c.mu.Lock()
-		c.stats.EvictErrors += failed
-		c.mu.Unlock()
+	c.mu.Lock()
+	c.stats.EvictErrors += failed
+	for v := victims; v != nil; {
+		next := v.next
+		v.gone = true
+		c.putEntryLocked(v)
+		v = next
 	}
+	c.mu.Unlock()
 	return firstErr
 }

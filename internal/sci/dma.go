@@ -114,7 +114,7 @@ func (b *Bridge) PostDMA(exp *Export, expOff int, imp *Import, impOff, n int, di
 		if rem := n - done; chunk > rem {
 			chunk = rem
 		}
-		pa := exp.lock.Pages[lOff/phys.PageSize] + phys.Addr(lOff%phys.PageSize)
+		pa := exp.lock.Frames[lOff/phys.PageSize].Addr() + phys.Addr(lOff%phys.PageSize)
 		buf = buf[:chunk]
 		var err error
 		if dir == DMAWrite {

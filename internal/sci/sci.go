@@ -191,8 +191,8 @@ func (b *Bridge) Export(as *mm.AddressSpace, addr pgtable.VAddr, pages int) (*Ex
 	}
 	b.nextExport++
 	b.nextSCIPage += uint32(pages)
-	for i, pa := range lock.Pages {
-		b.upstream[exp.SCIPage+uint32(i)] = pa
+	for i, pfn := range lock.Frames {
+		b.upstream[exp.SCIPage+uint32(i)] = pfn.Addr()
 	}
 	b.charge(b.costs().KernelCall)
 	b.exports[exp.ID] = exp
@@ -227,7 +227,7 @@ func (exp *Export) Consistent() (ok, total int, err error) {
 		if err != nil {
 			return ok, total, err
 		}
-		if pfn != phys.NoPFN && pfn.Addr() == exp.lock.Pages[i] {
+		if pfn != phys.NoPFN && pfn == exp.lock.Frames[i] {
 			ok++
 		}
 	}

@@ -321,7 +321,7 @@ func (q *CQ) WaitCtx(ctx context.Context) (Completion, error) {
 // Wakeups reports how many times a waiter actually parked on the queue
 // and was woken by a notify — the wakeups/op numerator of E24.  Entries
 // consumed by polling (Poll/PollBatch, or WaitCtx's first try) cost no
-// wakeup, which is exactly what completion coalescing buys.
+// wakeup, which is exactly what batched draining buys.
 func (q *CQ) Wakeups() uint64 { return q.wakeups.Load() }
 
 // Len reports the number of queued completions.

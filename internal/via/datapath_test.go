@@ -321,7 +321,7 @@ func TestStaleHandleReleased(t *testing.T) {
 // and gone.
 func TestStaleHandleWrap(t *testing.T) {
 	tb := newTPT(4)
-	oldest, err := tb.register([]phys.Addr{0}, 0, 8, 1, MemAttrs{})
+	oldest, err := tb.register([]phys.PFN{0}, 0, 8, 1, MemAttrs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestStaleHandleWrap(t *testing.T) {
 	}
 	// Churn well past the old ring size of 1024.
 	for i := 0; i < 1100; i++ {
-		h, err := tb.register([]phys.Addr{0}, 0, 8, 1, MemAttrs{})
+		h, err := tb.register([]phys.PFN{0}, 0, 8, 1, MemAttrs{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestTranslateRangeExtents(t *testing.T) {
 	tb := newTPT(8)
 	// Pages 0/1 physically adjacent, page 2 elsewhere.
 	pages := []phys.Addr{4 * phys.PageSize, 5 * phys.PageSize, 9 * phys.PageSize}
-	h, err := tb.register(pages, 0, 3*phys.PageSize, 7, MemAttrs{})
+	h, err := tb.register(pfnsOf(pages), 0, 3*phys.PageSize, 7, MemAttrs{})
 	if err != nil {
 		t.Fatal(err)
 	}

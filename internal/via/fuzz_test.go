@@ -3,6 +3,7 @@ package via
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"sort"
 	"testing"
 
@@ -18,7 +19,10 @@ import (
 //
 // Input layout: data[0] page count, data[1] region start offset,
 // data[2] flags (bit 0: physically contiguous frames, bit 1: wrong
-// tag), data[3:7] range offset, data[7:11] range length.
+// tag), data[3:7] range offset, data[7:11] range length, and optionally
+// data[11:13] the number of short-lived registrations made before the
+// region, which puts its handle anywhere in the directory's growing
+// chunks or in a recycled one; the last of them must stay released.
 func FuzzTranslateRange(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0})         // 1 page, in range
 	f.Add([]byte{4, 0, 1, 0, 0, 0, 0, 0, 64, 0, 0})         // contiguous frames coalesce
@@ -28,6 +32,8 @@ func FuzzTranslateRange(f *testing.F) {
 	f.Add([]byte{3, 77, 1, 200, 0, 0, 0, 0, 48, 0, 0})      // page-straddling range
 	f.Add([]byte{1, 0, 0, 0, 16, 0, 0, 255, 255, 255, 127}) // huge length overflows region
 	f.Add([]byte{1, 0, 0, 64, 0, 0, 0, 224, 255, 255, 255}) // negative length (-32), as a bad segment carries
+	f.Add([]byte{2, 9, 0, 0, 0, 0, 0, 0, 32, 0, 0, 248, 0}) // first handle of a full-size chunk (249)
+	f.Add([]byte{3, 0, 1, 0, 0, 0, 0, 0, 48, 0, 0, 200, 3}) // in the first recycled chunk (969)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 11 {
 			t.Skip()
@@ -40,6 +46,19 @@ func FuzzTranslateRange(f *testing.F) {
 		length := int(int32(binary.LittleEndian.Uint32(data[7:11])))
 
 		tpt := newTPT(64)
+		churn := 0
+		if len(data) >= 13 {
+			churn = int(binary.LittleEndian.Uint16(data[11:13])) % 1200
+		}
+		for i := 0; i < churn; i++ {
+			h, err := tpt.register([]phys.PFN{phys.PFN(i)}, 0, 8, 7, MemAttrs{})
+			if err == nil {
+				_, err = tpt.deregister(h)
+			}
+			if err != nil {
+				t.Fatalf("churn registration %d: %v", i, err)
+			}
+		}
 		const base = phys.Addr(1 << 20)
 		pages := make([]phys.Addr, pageCount)
 		for i := range pages {
@@ -53,9 +72,15 @@ func FuzzTranslateRange(f *testing.F) {
 		}
 		regLen := pageCount*phys.PageSize - regOff
 		const tag ProtectionTag = 7
-		h, err := tpt.register(pages, regOff, regLen, tag, MemAttrs{})
+		h, err := tpt.register(pfnsOf(pages), regOff, regLen, tag, MemAttrs{})
 		if err != nil {
 			t.Fatalf("register: %v", err)
+		}
+
+		if churn > 0 {
+			if _, _, err := tpt.translateRange(h-1, 0, 8, 7, nil, nil); !errors.Is(err, ErrRegionReleased) {
+				t.Fatalf("released handle %d: %v", h-1, err)
+			}
 		}
 
 		accessTag := tag

@@ -356,21 +356,21 @@ func (n *NIC) CreateVI(tag ProtectionTag) (*VI, error) {
 }
 
 // RegisterMemory enters a buffer's physical page list into the TPT and
-// returns the handle the DMA engine will use.  pages are the frame
-// addresses backing the buffer in order; offset is the buffer start
-// within the first page; length is the byte length.
+// returns the handle the DMA engine will use.  pfns are the frames
+// backing the buffer in order (the TPT copies them); offset is the
+// buffer start within the first page; length is the byte length.
 //
 // The NIC records the addresses as given — it has no way to notice if
 // the kernel's locking scheme later lets the pages move.
-func (n *NIC) RegisterMemory(pages []phys.Addr, offset, length int, tag ProtectionTag, attrs MemAttrs) (MemHandle, error) {
+func (n *NIC) RegisterMemory(pfns []phys.PFN, offset, length int, tag ProtectionTag, attrs MemAttrs) (MemHandle, error) {
 	if tag == InvalidTag {
 		return NoMemHandle, fmt.Errorf("via: registration with the invalid tag")
 	}
-	h, err := n.tpt.register(pages, offset, length, tag, attrs)
+	h, err := n.tpt.register(pfns, offset, length, tag, attrs)
 	if err != nil {
 		return NoMemHandle, err
 	}
-	n.meter.ChargeN(n.meter.Costs.TPTUpdate, len(pages))
+	n.meter.ChargeN(n.meter.Costs.TPTUpdate, len(pfns))
 	return h, nil
 }
 

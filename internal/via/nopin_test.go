@@ -25,7 +25,7 @@ func allocFrame(t *testing.T, mem *phys.Memory) phys.Addr {
 func TestNoPinTPTInvalidateRepair(t *testing.T) {
 	tb := newTPT(8)
 	pages := []phys.Addr{0, phys.PageSize, 2 * phys.PageSize}
-	h, err := tb.register(pages, 0, 3*phys.PageSize, 5, MemAttrs{NoPin: true})
+	h, err := tb.register(pfnsOf(pages), 0, 3*phys.PageSize, 5, MemAttrs{NoPin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestNoPinTPTInvalidateRepair(t *testing.T) {
 	}
 
 	// Pinned regions refuse the nopin edits.
-	hp, err := tb.register([]phys.Addr{3 * phys.PageSize}, 0, 64, 5, MemAttrs{})
+	hp, err := tb.register([]phys.PFN{3}, 0, 64, 5, MemAttrs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,12 +325,12 @@ func TestTPTConcurrentChurnRace(t *testing.T) {
 		for p := range pages {
 			pages[p] = phys.Addr((i*npages + p) % 1024 * phys.PageSize)
 		}
-		h, err := tb.register(pages, 0, npages*phys.PageSize, 9, MemAttrs{NoPin: true})
+		h, err := tb.register(pfnsOf(pages), 0, npages*phys.PageSize, 9, MemAttrs{NoPin: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cur.Store(uint64(h))
-		h2, err := tb.register(pages, 0, npages*phys.PageSize, 9, MemAttrs{})
+		h2, err := tb.register(pfnsOf(pages), 0, npages*phys.PageSize, 9, MemAttrs{})
 		if err != nil {
 			t.Fatal(err)
 		}

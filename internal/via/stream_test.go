@@ -40,7 +40,7 @@ func regScattered(t *testing.T, rng *rand.Rand, nic *NIC, mem *phys.Memory, npag
 	}
 	r := &memRegion{mem: mem, pages: pages, off: off, n: npages*phys.PageSize - off}
 	var err error
-	if r.h, err = nic.RegisterMemory(pages, off, r.n, tag, attrs); err != nil {
+	if r.h, err = nic.RegisterMemory(pfnsOf(pages), off, r.n, tag, attrs); err != nil {
 		t.Fatal(err)
 	}
 	fill := make([]byte, r.n)

@@ -17,7 +17,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/handledir"
 	"repro/internal/phys"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -42,8 +44,8 @@ type MemAttrs struct {
 }
 
 // MemHandle names a registered memory region on one NIC.  The handle is
-// an index into the NIC's region directory; the region in turn owns a
-// contiguous range of TPT slots.
+// an index into the NIC's region directory; the region in turn owns one
+// TPT slot per page.
 type MemHandle uint32
 
 // NoMemHandle is the sentinel for "no region".
@@ -56,7 +58,6 @@ const NoMemHandle MemHandle = ^MemHandle(0)
 // clone it, edit the clone, and publish the clone under the same handle.
 type region struct {
 	handle MemHandle
-	slots  []int       // TPT slot indices (writer-side capacity accounting)
 	frames []phys.Addr // page-aligned physical frame per page, in order
 	offset int         // byte offset of the buffer start within the first page
 	length int         // registered length in bytes
@@ -95,6 +96,11 @@ var (
 	ErrOutOfRegion    = errors.New("via: access outside registered region")
 	ErrRDMADisabled   = errors.New("via: RDMA access not enabled on region")
 	ErrRegionReleased = errors.New("via: memory handle already deregistered")
+	// ErrEmptyRegistration reports a registration of no pages or bytes.
+	ErrEmptyRegistration = errors.New("via: empty registration")
+	// ErrPinnedRegion reports a present-bit edit of a pinned region,
+	// whose translations never go non-present.
+	ErrPinnedRegion = errors.New("via: region is pinned")
 	// ErrIOPageFault reports DMA touching a nopin TPT entry whose page
 	// the host has invalidated (swapped out, unmapped, COW-broken).
 	ErrIOPageFault = errors.New("via: IO page fault on non-present translation")
@@ -117,7 +123,7 @@ func (e *IOPageFaultError) Unwrap() error { return ErrIOPageFault }
 
 // tpt is the NIC's translation and protection table plus region
 // directory.  The read path (translateRange and friends) is lock-free:
-// one directory load yields an immutable region, so concurrent DMA
+// one directory lookup yields an immutable region, so concurrent DMA
 // translations never serialize — against each other or against
 // registrations.  Registration, deregistration and nopin
 // invalidate/repair serialize on the writer mutex and publish exactly
@@ -133,10 +139,10 @@ type tpt struct {
 	// production).
 	obs atomic.Pointer[nicObs]
 
-	// regions is the published directory the data path reads:
-	// MemHandle → *region.  live counts its entries.
-	regions sync.Map
-	live    atomic.Int64
+	// dir is the published directory the data path reads: handle →
+	// region.  live counts its regions.
+	dir  handledir.Dir[region]
+	live atomic.Int64
 
 	// fence orders nopin DMA against invalidation: a transfer into a
 	// nopin region holds it shared from before its translation until its
@@ -147,47 +153,54 @@ type tpt struct {
 	fence sync.RWMutex
 
 	// mu serializes writers (register/deregister/invalidate/repair) and
-	// guards the slot free list.  The data path never takes it; only the
+	// guards everything below.  The data path never takes it; only the
 	// miss slow path does, to distinguish a released handle from one
 	// that never existed.
 	mu    sync.Mutex
-	free  []int // free slot indices (LIFO), reusable immediately
+	free  int // slots a registration may take now
 	nextH MemHandle
-	// grace holds slots of deregistered regions for one writer epoch:
+	// grace counts slots of deregistered regions for one writer epoch:
 	// a lock-free reader may still be consuming the region it loaded
 	// before the removal, so its slots must not be handed to a new
 	// registration until the removal has been published and a later
 	// writer operation proves time has passed.  Every writer promotes
 	// grace → free on entry.
-	grace []int
+	grace int
+	// Regions and their frame lists are carved, never reused: a reader
+	// that loaded a region before its removal keeps reading that
+	// registration's frames, never another's.
+	regions slab.Slab[region]
+	frames  slab.Slab[phys.Addr]
 }
 
 func newTPT(slots int) *tpt {
-	t := &tpt{
-		free:  make([]int, 0, slots),
-		nextH: 1,
-	}
-	for i := slots - 1; i >= 0; i-- {
-		t.free = append(t.free, i)
-	}
-	return t
+	return &tpt{free: slots, nextH: 1}
 }
 
-// promoteGraceLocked moves slots parked by an earlier deregister onto
-// the free list.  Called on entry to every writer operation: by then the
-// removal of their region has long been published, so reuse is safe (the
+// promoteGraceLocked releases slots parked by an earlier deregister.
+// Called on entry to every writer operation: by then the removal of
+// their region has long been published, so reuse is safe (the
 // epoch-deferred free).
 func (t *tpt) promoteGraceLocked() {
-	if len(t.grace) > 0 {
-		t.free = append(t.free, t.grace...)
-		t.grace = t.grace[:0]
-	}
+	t.free += t.grace
+	t.grace = 0
 }
 
-// lookup resolves a handle to its currently published region.
+// find returns the published region of h, or nil.  The directory may
+// hand back a region of a later handle when h's chunk was recycled
+// under a stale reader, hence the handle check.
+func (t *tpt) find(h MemHandle) *region {
+	if r := t.dir.Load(uint32(h)); r != nil && r.handle == h {
+		return r
+	}
+	return nil
+}
+
+// lookup resolves a handle to its currently published region (find,
+// spelled out so the data path makes one call into the directory).
 func (t *tpt) lookup(h MemHandle) (*region, error) {
-	if v, ok := t.regions.Load(h); ok {
-		return v.(*region), nil
+	if r := t.dir.Load(uint32(h)); r != nil && r.handle == h {
+		return r, nil
 	}
 	return nil, t.missErr(h)
 }
@@ -212,55 +225,41 @@ func (t *tpt) missErrLocked(h MemHandle) error {
 	return fmt.Errorf("%w: %d", ErrBadHandle, h)
 }
 
-// peekNextHandle reports the next handle to be issued (tests use it to
-// build handles guaranteed never to have existed).
-func (t *tpt) peekNextHandle() MemHandle {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nextH
-}
-
-// register enters the page list into the TPT and returns a handle.
-// pages are the page-aligned physical addresses of the buffer's frames;
-// offset/length describe the byte range within them.  The new region is
-// fully built before it is published, so the data path can never observe
-// a partial registration.
-func (t *tpt) register(pages []phys.Addr, offset, length int, tag ProtectionTag, attrs MemAttrs) (MemHandle, error) {
+// register enters the frame list into the TPT and returns a handle;
+// offset/length describe the byte range within the frames.  The new
+// region is fully built before it is published, so the data path can
+// never observe a partial registration.
+func (t *tpt) register(pfns []phys.PFN, offset, length int, tag ProtectionTag, attrs MemAttrs) (MemHandle, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.promoteGraceLocked()
-	if len(pages) == 0 || length <= 0 {
-		return NoMemHandle, fmt.Errorf("via: empty registration")
+	if len(pfns) == 0 || length <= 0 {
+		return NoMemHandle, ErrEmptyRegistration
 	}
-	if len(t.free) < len(pages) {
-		return NoMemHandle, fmt.Errorf("%w: need %d slots, %d free", ErrTPTFull, len(pages), len(t.free))
+	if t.free < len(pfns) {
+		return NoMemHandle, fmt.Errorf("%w: need %d slots, %d free", ErrTPTFull, len(pfns), t.free)
 	}
-	slots := make([]int, len(pages))
-	frames := make([]phys.Addr, len(pages))
-	for i, pa := range pages {
-		slots[i] = t.free[len(t.free)-1]
-		t.free = t.free[:len(t.free)-1]
-		frames[i] = pa &^ phys.Addr(phys.PageMask)
-	}
-	h := t.nextH
+	t.free -= len(pfns)
+	r := t.regions.New()
+	*r = region{handle: t.nextH, frames: t.frames.Make(len(pfns)), offset: offset, length: length, tag: tag, attrs: attrs}
 	t.nextH++
-	r := &region{
-		handle: h, slots: slots, frames: frames, offset: offset, length: length, tag: tag, attrs: attrs,
+	for i, pfn := range pfns {
+		r.frames[i] = pfn.Addr()
 	}
 	if attrs.NoPin {
-		r.present = make([]uint64, (len(pages)+63)/64)
-		for i := range pages {
+		r.present = make([]uint64, (len(pfns)+63)/64)
+		for i := range pfns {
 			r.present[i/64] |= 1 << uint(i%64)
 		}
 	}
-	t.regions.Store(h, r)
+	t.dir.Store(uint32(r.handle), r)
 	t.live.Add(1)
-	return h, nil
+	return r.handle, nil
 }
 
 // deregister removes the region from the directory, reporting how many
 // TPT slots were invalidated.  The removal is published FIRST; only then
-// are the slots parked on the grace list, so a lock-free reader still
+// are the slots parked for the grace epoch, so a lock-free reader still
 // consuming the region can never race a new registration writing into
 // the same slots (see promoteGraceLocked).  A translation already
 // running against the region may still complete — the same window a
@@ -270,14 +269,13 @@ func (t *tpt) deregister(h MemHandle) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.promoteGraceLocked()
-	v, ok := t.regions.LoadAndDelete(h)
-	if !ok {
+	r := t.dir.Delete(uint32(h))
+	if r == nil {
 		return 0, t.missErrLocked(h)
 	}
 	t.live.Add(-1)
-	r := v.(*region)
-	t.grace = append(t.grace, r.slots...)
-	return len(r.slots), nil
+	t.grace += len(r.frames)
+	return len(r.frames), nil
 }
 
 // invalidatePage marks one page of a nopin region non-present — the
@@ -304,18 +302,14 @@ func (t *tpt) clearPresent(h MemHandle, page int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.promoteGraceLocked()
-	v, ok := t.regions.Load(h)
-	if !ok {
-		return false
-	}
-	r := v.(*region)
-	if r.present == nil || page < 0 || page >= len(r.frames) || !r.pagePresent(page) {
+	r := t.find(h)
+	if r == nil || r.present == nil || page < 0 || page >= len(r.frames) || !r.pagePresent(page) {
 		return false
 	}
 	nr := r.clone()
 	nr.present[page/64] &^= 1 << uint(page%64)
 	nr.epoch++
-	t.regions.Store(h, nr)
+	t.dir.Store(uint32(h), nr)
 	return true
 }
 
@@ -326,13 +320,12 @@ func (t *tpt) repairPage(h MemHandle, page int, pa phys.Addr) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.promoteGraceLocked()
-	v, ok := t.regions.Load(h)
-	if !ok {
+	r := t.find(h)
+	if r == nil {
 		return t.missErrLocked(h)
 	}
-	r := v.(*region)
 	if r.present == nil {
-		return fmt.Errorf("via: repairPage on pinned region %d", h)
+		return fmt.Errorf("%w: repairPage on region %d", ErrPinnedRegion, h)
 	}
 	if page < 0 || page >= len(r.frames) {
 		return fmt.Errorf("%w: page %d of %d", ErrOutOfRegion, page, len(r.frames))
@@ -341,7 +334,7 @@ func (t *tpt) repairPage(h MemHandle, page int, pa phys.Addr) error {
 	nr.frames[page] = pa &^ phys.Addr(phys.PageMask)
 	nr.present[page/64] |= 1 << uint(page%64)
 	nr.epoch++
-	t.regions.Store(h, nr)
+	t.dir.Store(uint32(h), nr)
 	return nil
 }
 
@@ -529,7 +522,7 @@ func (t *tpt) presentPages(h MemHandle) (present, total int, err error) {
 func (t *tpt) freeSlots() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.free) + len(t.grace)
+	return t.free + t.grace
 }
 
 // regionCount reports how many regions are currently registered.

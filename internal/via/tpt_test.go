@@ -9,7 +9,25 @@ import (
 	"testing/quick"
 
 	"repro/internal/phys"
+	"repro/internal/race"
 )
+
+// pfnsOf converts page addresses to the frame list register takes.
+func pfnsOf(addrs []phys.Addr) []phys.PFN {
+	out := make([]phys.PFN, len(addrs))
+	for i, pa := range addrs {
+		out[i] = phys.FrameOf(pa)
+	}
+	return out
+}
+
+// peekNextHandle reports the next handle to be issued (tests use it to
+// build handles guaranteed never to have existed).
+func (t *tpt) peekNextHandle() MemHandle {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.nextH
+}
 
 // translate resolves (handle, byte offset) to a physical address: the
 // tests' single-address probe of translateRange.
@@ -27,7 +45,7 @@ func (t *tpt) translate(h MemHandle, off int, tag ProtectionTag, needAttr func(M
 func TestTPTRegisterTranslate(t *testing.T) {
 	tb := newTPT(8)
 	pages := []phys.Addr{4 * phys.PageSize, 9 * phys.PageSize}
-	h, err := tb.register(pages, 100, 2*phys.PageSize-100, 5, MemAttrs{})
+	h, err := tb.register(pfnsOf(pages), 100, 2*phys.PageSize-100, 5, MemAttrs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,35 +67,19 @@ func TestTPTRegisterTranslate(t *testing.T) {
 	}
 }
 
-func TestTPTUnalignedFrameAddressMasked(t *testing.T) {
-	// Registration masks frame addresses to page boundaries.
-	tb := newTPT(4)
-	h, err := tb.register([]phys.Addr{3*phys.PageSize + 7}, 0, 64, 1, MemAttrs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, err := tb.translate(h, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa != 3*phys.PageSize {
-		t.Fatalf("pa = %#x", pa)
-	}
-}
-
 func TestTPTEmptyRegistrationRejected(t *testing.T) {
 	tb := newTPT(4)
 	if _, err := tb.register(nil, 0, 8, 1, MemAttrs{}); err == nil {
 		t.Fatal("empty page list accepted")
 	}
-	if _, err := tb.register([]phys.Addr{0}, 0, 0, 1, MemAttrs{}); err == nil {
+	if _, err := tb.register([]phys.PFN{0}, 0, 0, 1, MemAttrs{}); err == nil {
 		t.Fatal("zero length accepted")
 	}
 }
 
 func TestTPTAttrCheck(t *testing.T) {
 	tb := newTPT(4)
-	h, _ := tb.register([]phys.Addr{0}, 0, 64, 1, MemAttrs{EnableRDMARead: true})
+	h, _ := tb.register([]phys.PFN{0}, 0, 64, 1, MemAttrs{EnableRDMARead: true})
 	if _, err := tb.translate(h, 0, 1, func(a MemAttrs) bool { return a.EnableRDMAWrite }); !errors.Is(err, ErrRDMADisabled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -113,7 +115,7 @@ func TestTPTRandomOps(t *testing.T) {
 				off := rng.Intn(phys.PageSize)
 				length := rng.Intn(n*phys.PageSize-off) + 1
 				tag := ProtectionTag(rng.Intn(3) + 1)
-				h, err := tb.register(pages, off, length, tag, MemAttrs{})
+				h, err := tb.register(pfnsOf(pages), off, length, tag, MemAttrs{})
 				if used+n <= slots {
 					if err != nil {
 						t.Logf("register failed with %d free: %v", slots-used, err)
@@ -218,49 +220,30 @@ func TestOpAndStatusStrings(t *testing.T) {
 }
 
 // checkSlotPartition verifies the writer-side slot ledger: every TPT slot
-// is in exactly one place — the free list, the grace list, or one
-// published region — and the region count matches the directory.  A slot
-// handed to a new registration while still parked on the grace list (the
-// reuse the epoch-deferred free forbids) shows up as a duplicate.
-func checkSlotPartition(t *testing.T, tb *tpt, slots int) {
+// is counted in exactly one place — free, grace-parked, or one page of a
+// published region — and the region count matches the directory.
+// handles are the ones the caller believes live; each must resolve to a
+// region carrying it.
+func checkSlotPartition(t *testing.T, tb *tpt, slots int, handles []MemHandle) {
 	t.Helper()
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	owner := make([]string, slots)
-	claim := func(s int, who string) {
-		if s < 0 || s >= slots {
-			t.Fatalf("slot %d out of range (%s)", s, who)
-		}
-		if owner[s] != "" {
-			t.Fatalf("slot %d held twice: %s and %s", s, owner[s], who)
-		}
-		owner[s] = who
+	if tb.free < 0 || tb.grace < 0 {
+		t.Fatalf("negative slot count: free %d grace %d", tb.free, tb.grace)
 	}
-	for _, s := range tb.free {
-		claim(s, "free")
-	}
-	for _, s := range tb.grace {
-		claim(s, "grace")
-	}
-	regions := 0
-	tb.regions.Range(func(k, v any) bool {
-		r := v.(*region)
-		if k.(MemHandle) != r.handle || len(r.slots) != len(r.frames) {
-			t.Fatalf("directory entry %v holds region %d with %d slots for %d frames", k, r.handle, len(r.slots), len(r.frames))
+	held := 0
+	for _, h := range handles {
+		r := tb.find(h)
+		if r == nil || r.handle != h {
+			t.Fatalf("live handle %d not in the directory", h)
 		}
-		regions++
-		for _, s := range r.slots {
-			claim(s, "region")
-		}
-		return true
-	})
-	for s, who := range owner {
-		if who == "" {
-			t.Fatalf("slot %d lost", s)
-		}
+		held += len(r.frames)
 	}
-	if regions != tb.regionCount() {
-		t.Fatalf("regionCount = %d, directory holds %d", tb.regionCount(), regions)
+	if tb.free+tb.grace+held != slots {
+		t.Fatalf("slot ledger: free %d + grace %d + held %d != %d", tb.free, tb.grace, held, slots)
+	}
+	if len(handles) != tb.regionCount() {
+		t.Fatalf("regionCount = %d, %d regions live", tb.regionCount(), len(handles))
 	}
 }
 
@@ -275,12 +258,17 @@ func checkSlotPartition(t *testing.T, tb *tpt, slots int) {
 //   - a handle below the retired watermark is ErrRegionReleased, one
 //     that was never issued is ErrBadHandle — exactly, at any time;
 //   - regionCount and the slot ledger are exact after every writer step.
+//
+// 1 300 handles cross every directory chunk size (8, 16, … 256) and run
+// into two recycled chunks: the run 249–504 is dead by handle 511 and
+// reused at 761, the run 505–760 at 1017, while readers still probe
+// handles of the runs that used to live there.
 func TestTPTDirectoryChurn(t *testing.T) {
 	const (
 		slots   = 64
 		npages  = 4
 		live    = 6 // regions kept registered at once
-		iters   = 600
+		iters   = 1300
 		readers = 4
 	)
 	// Handles are monotone, so the frames of handle h can be a function of
@@ -369,19 +357,19 @@ func TestTPTDirectoryChurn(t *testing.T) {
 		for p := range pages {
 			pages[p] = frameOf(h, p)
 		}
-		got, err := tb.register(pages, 0, npages*phys.PageSize, 9, MemAttrs{NoPin: i%2 == 0})
+		got, err := tb.register(pfnsOf(pages), 0, npages*phys.PageSize, 9, MemAttrs{NoPin: i%2 == 0})
 		if err != nil || got != h {
 			t.Fatalf("register: handle %d (want %d), err %v", got, h, err)
 		}
 		issued.Store(uint64(h))
 		window = append(window, h)
-		checkSlotPartition(t, tb, slots)
+		checkSlotPartition(t, tb, slots, window)
 		if i%2 == 0 {
 			p := i % npages
 			if !tb.invalidatePage(h, p) {
 				t.Fatalf("invalidate of present page %d of handle %d reported absent", p, h)
 			}
-			checkSlotPartition(t, tb, slots)
+			checkSlotPartition(t, tb, slots, window)
 			if err := tb.repairPage(h, p, frameOf(h, p)+phys.PageSize); err != nil {
 				t.Fatal(err)
 			}
@@ -397,11 +385,167 @@ func TestTPTDirectoryChurn(t *testing.T) {
 				t.Fatalf("second deregister of %d: %v", old, err)
 			}
 		}
-		checkSlotPartition(t, tb, slots)
+		checkSlotPartition(t, tb, slots, window)
 		if got := tb.regionCount(); got != len(window) {
 			t.Fatalf("regionCount = %d with %d regions registered", got, len(window))
 		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestTPTStaleHandlesNeverAlias: one writer registers, deregisters and
+// re-registers regions of 1 to 8 pages, thousands of handles deep (so
+// directory chunks die and are reused), while readers translate live,
+// stale and not yet issued handles.  A stale handle is ErrRegionReleased
+// every time, and no translation ever returns a frame of a registration
+// other than the one its handle named.  Run under -race.
+func TestTPTStaleHandlesNeverAlias(t *testing.T) {
+	const (
+		slots   = 64
+		live    = 4
+		iters   = 3000
+		readers = 3
+	)
+	sizeOf := func(h MemHandle) int { return 1 + int(h)%8 }
+	frameOf := func(h MemHandle, p int) phys.PFN { return phys.PFN((int(h)*8 + p) * 2) }
+	tb := newTPT(slots)
+	var issued, retired atomic.Uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			scratch := make([]extent, 0, 8)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo, hi := retired.Load(), issued.Load()
+				h := MemHandle(1 + rng.Intn(int(hi)+2))
+				n := sizeOf(h)
+				exts, _, err := tb.translateRange(h, 0, n*phys.PageSize, 9, nil, scratch[:0])
+				switch {
+				case uint64(h) <= lo && !errors.Is(err, ErrRegionReleased):
+					t.Errorf("stale handle %d (retired ≤ %d): %v", h, lo, err)
+					return
+				case err == nil:
+					if len(exts) != n {
+						t.Errorf("handle %d: %d extents for %d pages", h, len(exts), n)
+						return
+					}
+					for p, e := range exts {
+						if e.addr != frameOf(h, p).Addr() {
+							t.Errorf("handle %d page %d translated to %#x: another registration's frame", h, p, e.addr)
+							return
+						}
+					}
+				case !errors.Is(err, ErrRegionReleased) && !errors.Is(err, ErrBadHandle):
+					t.Errorf("handle %d: %v", h, err)
+					return
+				}
+			}
+		}(w)
+	}
+	var window []MemHandle
+	pfns := make([]phys.PFN, 8)
+	for i := 0; i < iters; i++ {
+		h := tb.peekNextHandle()
+		for p := range pfns {
+			pfns[p] = frameOf(h, p)
+		}
+		got, err := tb.register(pfns[:sizeOf(h)], 0, sizeOf(h)*phys.PageSize, 9, MemAttrs{})
+		if err != nil || got != h {
+			t.Fatalf("register: handle %d (want %d), err %v", got, h, err)
+		}
+		issued.Store(uint64(h))
+		if window = append(window, h); len(window) > live {
+			if _, err := tb.deregister(window[0]); err != nil {
+				t.Fatal(err)
+			}
+			retired.Store(uint64(window[0]))
+			window = window[1:]
+		}
+	}
+	close(stop)
+	wg.Wait()
+	checkSlotPartition(t, tb, slots, window)
+}
+
+// TestTPTGraceDefersSlotReuse: slots a deregistration frees are parked
+// until the next writer operation, and counted as free all along.
+func TestTPTGraceDefersSlotReuse(t *testing.T) {
+	tb := newTPT(4)
+	h, err := tb.register([]phys.PFN{1, 2, 3}, 0, 3*phys.PageSize, 1, MemAttrs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.deregister(h); err != nil {
+		t.Fatal(err)
+	}
+	tb.mu.Lock()
+	free, grace := tb.free, tb.grace
+	tb.mu.Unlock()
+	if free != 1 || grace != 3 || tb.freeSlots() != 4 {
+		t.Fatalf("after deregister: free %d grace %d freeSlots %d, want 1, 3, 4", free, grace, tb.freeSlots())
+	}
+	if _, err := tb.register([]phys.PFN{1, 2, 3, 4}, 0, 4*phys.PageSize, 1, MemAttrs{}); err != nil {
+		t.Fatalf("the next writer did not promote the parked slots: %v", err)
+	}
+}
+
+// TestTPTRegisterZeroAllocs: registering and deregistering a pinned
+// region allocates nothing in steady state — slots are counts, the
+// directory recycles its chunks, and regions and frame lists are carved
+// from blocks.
+func TestTPTRegisterZeroAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	tb := newTPT(64)
+	pfns := []phys.PFN{3, 9, 4, 1, 5, 9, 2, 6}
+	got := testing.AllocsPerRun(1000, func() {
+		h, err := tb.register(pfns, 0, len(pfns)*phys.PageSize, 1, MemAttrs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.deregister(h); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("register+deregister allocates %v objects, want 0", got)
+	}
+}
+
+// TestTPTLookupChecksTheHandle: what a reader holding a directory index
+// from before a chunk's reuse sees — the slot of its released handle
+// holding a later registration's region — is a miss, never that
+// region's frames.
+func TestTPTLookupChecksTheHandle(t *testing.T) {
+	tb := newTPT(8)
+	old, err := tb.register([]phys.PFN{1}, 0, 64, 3, MemAttrs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.deregister(old); err != nil {
+		t.Fatal(err)
+	}
+	later, err := tb.register([]phys.PFN{7}, 0, 64, 3, MemAttrs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.mu.Lock()
+	tb.dir.Store(uint32(old), tb.find(later))
+	tb.mu.Unlock()
+	if pa, err := tb.translate(old, 0, 3, nil); !errors.Is(err, ErrRegionReleased) {
+		t.Fatalf("released handle %d translated to %#x (err %v): the region of handle %d", old, pa, err, later)
+	}
+	if _, err := tb.walkRange(old, 0, 64, 3, nil, func(int, int, phys.Addr, int, bool) {}); !errors.Is(err, ErrRegionReleased) {
+		t.Fatalf("walkRange of released handle %d: %v", old, err)
+	}
 }

@@ -62,7 +62,7 @@ func regFrames(t *testing.T, nic *NIC, mem *phys.Memory, n int, tag ProtectionTa
 		}
 		pages[i] = pfn.Addr()
 	}
-	h, err := nic.RegisterMemory(pages, 0, n*phys.PageSize, tag, attrs)
+	h, err := nic.RegisterMemory(pfnsOf(pages), 0, n*phys.PageSize, tag, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRegisterDeregister(t *testing.T) {
 
 func TestTPTExhaustion(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.nicA.RegisterMemory(make([]phys.Addr, 100), 0, 100*phys.PageSize, tagA, MemAttrs{}); !errors.Is(err, ErrTPTFull) {
+	if _, err := r.nicA.RegisterMemory(make([]phys.PFN, 100), 0, 100*phys.PageSize, tagA, MemAttrs{}); !errors.Is(err, ErrTPTFull) {
 		t.Fatalf("err = %v, want ErrTPTFull", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestInvalidTagRejected(t *testing.T) {
 	if _, err := r.nicA.CreateVI(InvalidTag); err == nil {
 		t.Fatal("VI with invalid tag created")
 	}
-	if _, err := r.nicA.RegisterMemory([]phys.Addr{0}, 0, 8, InvalidTag, MemAttrs{}); err == nil {
+	if _, err := r.nicA.RegisterMemory([]phys.PFN{0}, 0, 8, InvalidTag, MemAttrs{}); err == nil {
 		t.Fatal("registration with invalid tag accepted")
 	}
 }

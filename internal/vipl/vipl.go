@@ -13,6 +13,7 @@ import (
 	"repro/internal/pgtable"
 	"repro/internal/phys"
 	"repro/internal/proc"
+	"repro/internal/slab"
 	"repro/internal/via"
 )
 
@@ -21,10 +22,18 @@ type Nic struct {
 	agent *kagent.Agent
 	proc  *proc.Process
 	tag   via.ProtectionTag
+	// regions carves MemRegions; they are never reused, so a stale
+	// *MemRegion is never mistaken for a later one.
+	regions slab.Slab[MemRegion]
 }
 
-// ErrForeignBuffer reports a buffer that belongs to another process.
-var ErrForeignBuffer = errors.New("vipl: buffer not owned by this process")
+// Errors returned by the user agent.
+var (
+	// ErrForeignBuffer reports a buffer that belongs to another process.
+	ErrForeignBuffer = errors.New("vipl: buffer not owned by this process")
+	// ErrOutsideBuffer reports a registration range outside its buffer.
+	ErrOutsideBuffer = errors.New("vipl: range outside buffer")
+)
 
 // OpenNic opens the NIC for a process.  The kernel agent assigns the
 // process a unique protection tag (derived from its pid), which every VI
@@ -87,28 +96,35 @@ func (n *Nic) RegisterMem(b *proc.Buffer, attrs via.MemAttrs) (*MemRegion, error
 // RegisterMemRange registers [off, off+length) of a buffer.
 func (n *Nic) RegisterMemRange(b *proc.Buffer, off, length int, attrs via.MemAttrs) (*MemRegion, error) {
 	if off < 0 || length <= 0 || off+length > b.Bytes {
-		return nil, fmt.Errorf("vipl: register [%d,+%d) outside buffer of %d bytes", off, length, b.Bytes)
+		return nil, fmt.Errorf("%w: register [%d,+%d) of %d bytes", ErrOutsideBuffer, off, length, b.Bytes)
 	}
 	reg, err := n.agent.RegisterMem(n.proc.AS(), b.Addr+pgtable.VAddr(off), length, n.tag, attrs)
 	if err != nil {
 		return nil, err
 	}
-	return &MemRegion{nic: n, reg: reg}, nil
+	return n.region(reg), nil
+}
+
+// region wraps a kernel agent registration for the caller.
+func (n *Nic) region(reg *kagent.Registration) *MemRegion {
+	r := n.regions.New()
+	r.nic, r.reg = n, reg
+	return r
 }
 
 // RegisterFrames registers kernel-donated staging frames under this
 // process's tag — the receive half of the remap protocol.  The frames
 // belong to no user range yet; once the transfer lands they are adopted
 // into the address space and the region deregistered.
-func (n *Nic) RegisterFrames(pages []phys.Addr, length int, attrs via.MemAttrs) (*MemRegion, error) {
-	if len(pages) == 0 || length <= 0 {
-		return nil, fmt.Errorf("vipl: register %d frames of %d bytes", len(pages), length)
+func (n *Nic) RegisterFrames(pfns []phys.PFN, length int, attrs via.MemAttrs) (*MemRegion, error) {
+	if len(pfns) == 0 || length <= 0 {
+		return nil, fmt.Errorf("vipl: register %d frames of %d bytes", len(pfns), length)
 	}
-	reg, err := n.agent.RegisterFrames(pages, length, n.tag, attrs)
+	reg, err := n.agent.RegisterFrames(pfns, length, n.tag, attrs)
 	if err != nil {
 		return nil, err
 	}
-	return &MemRegion{nic: n, reg: reg}, nil
+	return n.region(reg), nil
 }
 
 // DeregisterMem releases a region (VipDeregisterMem).
