@@ -1,18 +1,15 @@
 // Benchmarks for the extension substrates: RAW I/O, the SCI bridge (PIO
-// and combined protected DMA), the swap cache, and the Bigphysarea
-// baseline (experiments E11-E13 and the A-series ablations have their
-// sweeps in cmd/viabench; these are their testing.B companions).
+// and combined protected DMA) and the Bigphysarea baseline (experiments
+// E11-E13 have their tables in viabench; these are their testing.B
+// companions).
 package repro
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/bigphys"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mm"
-	"repro/internal/mpi"
 	"repro/internal/phys"
 	"repro/internal/proc"
 	"repro/internal/rawio"
@@ -110,29 +107,6 @@ func BenchmarkSCIDMA(b *testing.B) {
 	}
 }
 
-// BenchmarkSwapCycle measures evict + fault-back of a clean page,
-// exercising the swap cache's skipped rewrite.
-func BenchmarkSwapCycle(b *testing.B) {
-	k := mm.NewKernel(mm.Config{RAMPages: 256, SwapPages: 2048, ClockBatch: 64, SwapBatch: 16}, nil)
-	p := proc.New(k, "bench", false)
-	buf, err := p.Malloc(8 * phys.PageSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := buf.Touch(); err != nil {
-		b.Fatal(err)
-	}
-	tmp := make([]byte, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.SwapOut(16)
-		k.SwapOut(16)
-		if err := buf.Read(0, tmp); err != nil { // clean read fault-back
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBigphysStaging measures the baseline bounce-copy send path.
 func BenchmarkBigphysStaging(b *testing.B) {
 	k := mm.NewKernel(mm.Config{RAMPages: 1024, SwapPages: 2048, ClockBatch: 64, SwapBatch: 16}, simtime.NewMeter())
@@ -151,33 +125,5 @@ func BenchmarkBigphysStaging(b *testing.B) {
 		if err := block.Write(0, payload); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMPIAllreduce measures one allreduce across four ranks.
-func BenchmarkMPIAllreduce(b *testing.B) {
-	c := cluster.MustNew(cluster.Config{Nodes: 2, Strategy: core.StrategyKiobuf, TPTSlots: 4096,
-		Kernel: mm.Config{RAMPages: 4096, SwapPages: 8192, ClockBatch: 128, SwapBatch: 32}})
-	w, err := mpi.NewWorld(c, 4, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for j := 0; j < w.Size(); j++ {
-			r, err := w.Rank(j)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := r.Allreduce(1, mpi.OpSum); err != nil {
-					b.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
 	}
 }

@@ -14,8 +14,6 @@ import (
 	"repro/internal/mm"
 	"repro/internal/msg"
 	"repro/internal/phys"
-	"repro/internal/pressure"
-	"repro/internal/proc"
 	"repro/internal/simtime"
 	"repro/internal/via"
 )
@@ -36,83 +34,6 @@ func BenchmarkLocktest(b *testing.B) {
 			}
 			b.ReportMetric(float64(simTotal.Micros())/float64(b.N), "sim-µs/op")
 		})
-	}
-}
-
-// BenchmarkRegister measures registration cost (E3) per strategy and
-// region size.
-func BenchmarkRegister(b *testing.B) {
-	for _, s := range core.Strategies() {
-		for _, pages := range []int{1, 16, 256} {
-			b.Run(fmt.Sprintf("%s/%dpages", s, pages), func(b *testing.B) {
-				c := cluster.MustNew(cluster.Config{Nodes: 1, Strategy: s, TPTSlots: 4096,
-					Kernel: mm.Config{RAMPages: 4096, SwapPages: 8192, ClockBatch: 128, SwapBatch: 32}})
-				node := c.Nodes[0]
-				p := node.NewProcess("bench", false)
-				buf, err := p.Malloc(pages * phys.PageSize)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := buf.Touch(); err != nil {
-					b.Fatal(err)
-				}
-				tag := via.ProtectionTag(p.ID())
-				var sim simtime.Duration
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sw := c.Meter.Start()
-					reg, err := node.Agent.RegisterMem(p.AS(), buf.Addr, buf.Bytes, tag, via.MemAttrs{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					sim += sw.Elapsed()
-					b.StopTimer()
-					if err := node.Agent.DeregisterMem(reg); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				b.ReportMetric(sim.Micros()/float64(b.N), "sim-µs/op")
-			})
-		}
-	}
-}
-
-// BenchmarkDeregister measures deregistration cost (E4).
-func BenchmarkDeregister(b *testing.B) {
-	for _, s := range core.Strategies() {
-		for _, pages := range []int{1, 16, 256} {
-			b.Run(fmt.Sprintf("%s/%dpages", s, pages), func(b *testing.B) {
-				c := cluster.MustNew(cluster.Config{Nodes: 1, Strategy: s, TPTSlots: 4096,
-					Kernel: mm.Config{RAMPages: 4096, SwapPages: 8192, ClockBatch: 128, SwapBatch: 32}})
-				node := c.Nodes[0]
-				p := node.NewProcess("bench", false)
-				buf, err := p.Malloc(pages * phys.PageSize)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := buf.Touch(); err != nil {
-					b.Fatal(err)
-				}
-				tag := via.ProtectionTag(p.ID())
-				var sim simtime.Duration
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					reg, err := node.Agent.RegisterMem(p.AS(), buf.Addr, buf.Bytes, tag, via.MemAttrs{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					sw := c.Meter.Start()
-					if err := node.Agent.DeregisterMem(reg); err != nil {
-						b.Fatal(err)
-					}
-					sim += sw.Elapsed()
-				}
-				b.ReportMetric(sim.Micros()/float64(b.N), "sim-µs/op")
-			})
-		}
 	}
 }
 
@@ -166,27 +87,6 @@ func BenchmarkPressureSurvival(b *testing.B) {
 	}
 }
 
-// BenchmarkSwapOut measures the kernel's eviction path (E9).
-func BenchmarkSwapOut(b *testing.B) {
-	k := mm.NewKernel(mm.Config{RAMPages: 4096, SwapPages: 65536, ClockBatch: 128, SwapBatch: 64}, nil)
-	hog := pressure.NewHog(k)
-	if _, err := hog.Grow(2048); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Age + evict a batch, then touch it back in.
-		k.SwapOut(64)
-		if n := k.SwapOut(64); n == 0 {
-			b.StopTimer()
-			if err := hog.Churn(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	}
-}
-
 // protoBench wires one endpoint pair and streams messages.
 func protoBench(b *testing.B, size int, p msg.Protocol) {
 	c := cluster.MustNew(cluster.Config{Nodes: 2, Strategy: core.StrategyKiobuf, TPTSlots: 8192,
@@ -234,83 +134,10 @@ func protoBench(b *testing.B, size int, p msg.Protocol) {
 	}
 }
 
-// BenchmarkProtocolEager measures the eager path (E6, small-message leg).
-func BenchmarkProtocolEager(b *testing.B) {
-	for _, size := range []int{1 << 10, 8 << 10} {
-		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) { protoBench(b, size, msg.Eager) })
-	}
-}
-
 // BenchmarkProtocolOneCopy measures the one-copy path (E6, mid leg).
 func BenchmarkProtocolOneCopy(b *testing.B) {
 	for _, size := range []int{16 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) { protoBench(b, size, msg.OneCopy) })
-	}
-}
-
-// BenchmarkProtocolZeroCopy measures the zero-copy path (E6, large leg;
-// warm cache steady state).
-func BenchmarkProtocolZeroCopy(b *testing.B) {
-	for _, size := range []int{256 << 10, 1 << 20} {
-		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) { protoBench(b, size, msg.ZeroCopy) })
-	}
-}
-
-// BenchmarkRegCache measures E7's two legs: zero-copy with a warm cache
-// versus flushing the cache after every message.
-func BenchmarkRegCache(b *testing.B) {
-	for _, cached := range []bool{true, false} {
-		name := "cached"
-		if !cached {
-			name = "uncached"
-		}
-		b.Run(name, func(b *testing.B) {
-			c := cluster.MustNew(cluster.Config{Nodes: 2, Strategy: core.StrategyKiobuf, TPTSlots: 4096,
-				Kernel: mm.Config{RAMPages: 8192, SwapPages: 8192, ClockBatch: 128, SwapBatch: 32}})
-			a, recv, err := c.EndpointPair(0, 1, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			size := 64 << 10
-			src, err := a.Process().Malloc(size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst, err := recv.Process().Malloc(size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var buffers [2]*proc.Buffer
-			buffers[0], buffers[1] = src, dst
-			for _, buf := range buffers {
-				if err := buf.Touch(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(size))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				errc := make(chan error, 1)
-				go func() {
-					_, err := a.Send(src, msg.ZeroCopy)
-					errc <- err
-				}()
-				if _, err := recv.Recv(dst); err != nil {
-					b.Fatal(err)
-				}
-				if err := <-errc; err != nil {
-					b.Fatal(err)
-				}
-				if !cached {
-					if _, err := a.Cache().Flush(); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := recv.Cache().Flush(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }
 

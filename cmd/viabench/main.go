@@ -1,14 +1,15 @@
 // Command viabench regenerates the evaluation's tables and figures as
-// parameter sweeps over the simulated stack.
+// parameter sweeps over the simulated stack, each at fixed sizes.
 //
 // Usage:
 //
-//	viabench -table=regcost|deregcost|survival|protocols|regcache|regconc|multireg|divergence|msgrate|nopin|obs|all
+//	viabench [-table=all|<name>] [-trace=out.json] [-metrics]
 //
-// The obs table (E18, the observability layer's latency decomposition)
-// accepts two extra flags: -trace=out.json exports its event trace as
-// Chrome trace_event JSON (load in chrome://tracing or Perfetto), and
-// -metrics dumps the full metrics registry after the table.
+// viabench -h lists the tables.  The obs table (E18, the observability
+// layer's latency decomposition) accepts two extra flags: -trace=out.json
+// exports its event trace as Chrome trace_event JSON (load in
+// chrome://tracing or Perfetto), and -metrics dumps the full metrics
+// registry after the table.
 package main
 
 import (
@@ -16,62 +17,43 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	table := flag.String("table", "all", "which table/figure to regenerate")
+	var names []string
+	for _, t := range bench.Tables {
+		names = append(names, fmt.Sprintf("%s (%s)", t.Name, t.Exps))
+	}
+	choices := "all, or one of: " + strings.Join(names, ", ")
+	table := flag.String("table", "all", "which table to regenerate: "+choices)
 	tracePath := flag.String("trace", "", "obs: write Chrome trace_event JSON to this file")
 	metricsDump := flag.Bool("metrics", false, "obs: dump the metrics registry after the table")
 	flag.Parse()
 
-	obs := func(w io.Writer) error {
-		var mw io.Writer
-		if *metricsDump {
-			mw = w
+	var run []bench.Table
+	for _, t := range bench.Tables {
+		if *table == "all" || *table == t.Name {
+			run = append(run, t)
 		}
-		return bench.ObsRun(w, *tracePath, mw)
 	}
-	runners := map[string]func(io.Writer) error{
-		"obs":        obs,
-		"regcost":    bench.RegCost,
-		"deregcost":  bench.DeregCost,
-		"survival":   bench.Survival,
-		"protocols":  bench.Protocols,
-		"regcache":   bench.RegCache,
-		"regconc":    bench.RegConc,
-		"multireg":   bench.MultiReg,
-		"divergence": bench.Divergence,
-		"piodma":     bench.PIODMA,
-		"latency":    bench.Latency,
-		"ablation":   bench.Ablations,
-		"bigphys":    bench.Bigphys,
-		"msgrate":    bench.MsgRate,
-		"smallmsg":   bench.SmallMsg,
-		"chaos":      bench.Chaos,
-		"rendezvous": bench.Rendezvous,
-		"remap":      bench.Remap,
-		"nopin":      bench.NoPin,
-		"multirail":  bench.Multirail,
+	if len(run) == 0 {
+		fmt.Fprintf(os.Stderr, "viabench: unknown table %q; choose %s\n", *table, choices)
+		os.Exit(2)
 	}
-	order := []string{"regcost", "deregcost", "survival", "protocols", "regcache", "regconc", "multireg", "divergence", "piodma", "latency", "ablation", "bigphys", "msgrate", "smallmsg", "chaos", "rendezvous", "remap", "nopin", "multirail", "obs"}
-
-	run := func(name string) {
-		if err := runners[name](os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "viabench %s: %v\n", name, err)
+	for _, t := range run {
+		if t.Name == "obs" {
+			var mw io.Writer
+			if *metricsDump {
+				mw = os.Stdout
+			}
+			t.Run = func(w io.Writer) error { return bench.ObsRun(w, *tracePath, mw) }
+		}
+		if err := t.Run(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "viabench %s: %v\n", t.Name, err)
 			os.Exit(1)
 		}
 	}
-	if *table == "all" {
-		for _, name := range order {
-			run(name)
-		}
-		return
-	}
-	if _, ok := runners[*table]; !ok {
-		fmt.Fprintf(os.Stderr, "viabench: unknown table %q (choose from %v or all)\n", *table, order)
-		os.Exit(2)
-	}
-	run(*table)
 }

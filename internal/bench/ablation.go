@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/kagent"
 	"repro/internal/mm"
 	"repro/internal/phys"
 	"repro/internal/pressure"
@@ -68,15 +69,14 @@ func ablationEviction(w io.Writer) error {
 }
 
 func evictionWorkload(p regcache.Policy) (libMisses int, evictions uint64, err error) {
-	c, node, err := oneNode(core.StrategyKiobuf)
+	_, node, err := oneNode(core.StrategyKiobuf)
 	if err != nil {
 		return 0, 0, err
 	}
-	_ = c
 	// TPT of 8 slots, regions of 2 pages → at most 4 cached regions.
 	nic := via.NewNIC("ablate", node.Kernel.Phys(), node.Kernel.Meter(), 8)
 	pr := node.NewProcess("app", false)
-	h := vipl.OpenNic(kagentFor(node, nic), pr)
+	h := vipl.OpenNic(kagent.New(node.Kernel, nic, core.MustNew(core.StrategyKiobuf)), pr)
 	cache := regcache.NewWithPolicy(h, 0, p)
 
 	lib, err := pr.Malloc(2 * phys.PageSize)
@@ -269,7 +269,7 @@ func ignoreLocksRun(s core.Strategy) (consistent, total int, err error) {
 	}
 	k := mm.NewKernel(cfg, simtime.NewMeter())
 	nic := via.NewNIC("ablate", k.Phys(), k.Meter(), 256)
-	agent := kagentNew(k, nic, s)
+	agent := kagent.New(k, nic, core.MustNew(s))
 	pr := proc.New(k, "app", false)
 	buf, err := pr.Malloc(16 * phys.PageSize)
 	if err != nil {

@@ -19,22 +19,6 @@ func sweepOutput(t *testing.T, f func(w *strings.Builder) error) string {
 	return sb.String()
 }
 
-func TestRegCostOutput(t *testing.T) {
-	out := sweepOutput(t, func(w *strings.Builder) error { return RegCost(w) })
-	for _, want := range []string{"E3", "kiobuf", "4KiB", "4MiB"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestDeregCostOutput(t *testing.T) {
-	out := sweepOutput(t, func(w *strings.Builder) error { return DeregCost(w) })
-	if !strings.Contains(out, "E4") {
-		t.Fatalf("missing E4 header:\n%s", out)
-	}
-}
-
 func TestSurvivalShape(t *testing.T) {
 	out := sweepOutput(t, func(w *strings.Builder) error { return Survival(w) })
 	// At pressure 2.00 refcount must be 0%, kiobuf 100%.
@@ -240,18 +224,6 @@ func TestRegConcPointShape(t *testing.T) {
 	}
 }
 
-func TestRegConcOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock sweep")
-	}
-	out := sweepOutput(t, func(w *strings.Builder) error { return RegConc(w) })
-	for _, want := range []string{"E15", "goroutines", "kops/s"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
 func TestMsgRatePointShape(t *testing.T) {
 	kmsg, simUS, err := msgRatePoint(4, 2000)
 	if err != nil {
@@ -262,18 +234,6 @@ func TestMsgRatePointShape(t *testing.T) {
 	}
 	if simUS <= 0 {
 		t.Fatalf("virtual cost %v µs/msg", simUS)
-	}
-}
-
-func TestMsgRateOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock sweep")
-	}
-	out := sweepOutput(t, func(w *strings.Builder) error { return MsgRate(w) })
-	for _, want := range []string{"E16", "VIs", "kmsg/s"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
 	}
 }
 
@@ -300,22 +260,6 @@ func TestProtocolPointShapes(t *testing.T) {
 	}
 	if zcWarmBig <= eagerBig {
 		t.Fatalf("warm zero-copy (%v MB/s) lost to eager (%v MB/s) at 1MiB", zcWarmBig, eagerBig)
-	}
-}
-
-func TestAblationsRunClean(t *testing.T) {
-	out := sweepOutput(t, func(w *strings.Builder) error { return Ablations(w) })
-	for _, want := range []string{"A1", "A2", "A3", "A4", "immediate data", "RELIABLE"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestBigphysOutput(t *testing.T) {
-	out := sweepOutput(t, func(w *strings.Builder) error { return Bigphys(w) })
-	if !strings.Contains(out, "E13") || !strings.Contains(out, "speedup") {
-		t.Fatalf("bad output:\n%s", out)
 	}
 }
 
@@ -349,19 +293,6 @@ func TestRendezvousPointShape(t *testing.T) {
 	}
 	if pipe.overlap < 0.5 {
 		t.Errorf("overlap fraction = %.2f, want >= 0.5", pipe.overlap)
-	}
-}
-
-// TestRendezvousOutput smoke-runs the full E19 table.
-func TestRendezvousOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full E19 sweep")
-	}
-	out := sweepOutput(t, func(w *strings.Builder) error { return Rendezvous(w) })
-	for _, want := range []string{"E19", "swap-cold", "256KiB", "1MiB", "overlap"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
 	}
 }
 
@@ -457,18 +388,6 @@ func TestSmallMsgPointShapes(t *testing.T) {
 	for _, wk := range []float64{wk1, wk8} {
 		if wk <= 0 || wk > 1.2 {
 			t.Fatalf("wakeups/op out of sanity range: %v and %v", wk1, wk8)
-		}
-	}
-}
-
-func TestSmallMsgOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep")
-	}
-	out := sweepOutput(t, func(w *strings.Builder) error { return SmallMsg(w) })
-	for _, want := range []string{"E24a", "E24b", "speedup", "doorbells/op", "CQ wakeups/op"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func BenchmarkCollectives(b *testing.B) {
 	}
 	defer w.Close()
 	allreduce := func() error {
-		return e21All(w, func(r *mpi.Rank) error {
+		return eachRank(w, func(r *mpi.Rank) error {
 			_, err := r.Allreduce(int64(r.ID()), mpi.OpSum)
 			return err
 		})

@@ -14,7 +14,7 @@ const divergenceRegionPages = 64
 // (0.25×RAM each) with buffer re-touches and consistency probes,
 // returning the consistent-page count after each step.
 func divergenceRun(s core.Strategy, steps int) ([]int, error) {
-	c, node, err := oneNode(s)
+	_, node, err := oneNode(s)
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +31,6 @@ func divergenceRun(s core.Strategy, steps int) ([]int, error) {
 		return nil, err
 	}
 	defer func() { _ = node.Agent.DeregisterMem(reg) }()
-	_ = c
 
 	hog := pressure.NewHog(node.Kernel)
 	defer func() { _ = hog.Release() }()

@@ -23,10 +23,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/mm"
 	"repro/internal/mpi"
 	"repro/internal/msg"
@@ -41,14 +42,23 @@ const (
 	e21RingCap   = 256       // largest world that runs the ring vector path
 )
 
-// CollectiveScale regenerates E21.  smoke restricts the sweep to the
-// small rank counts CI can afford; algo selects the collective family
-// (mpi.AlgoLinear is the ablation baseline).
-func CollectiveScale(w io.Writer, smoke bool, algo mpi.Algo) error {
-	rankCounts := []int{16, 64, 256, 1024}
-	if smoke {
-		rankCounts = []int{16, 64}
+// E21 regenerates E21: the sweep with the log-step collectives, then
+// with mpi.AlgoLinear, the ablation baseline.
+func E21(w io.Writer) error {
+	base := runtime.NumGoroutine()
+	for _, algo := range []mpi.Algo{mpi.AlgoLog, mpi.AlgoLinear} {
+		if err := collectiveScale(w, algo, base); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// collectiveScale prints the sweep for one collective family.  base is
+// the caller's goroutine count: the goroutines column counts the world's
+// goroutines above it, plus one for the caller, so the column reads the
+// same in viabench as inside a test binary.
+func collectiveScale(w io.Writer, algo mpi.Algo, base int) error {
 	s := report.Table{
 		Title: fmt.Sprintf("E21: collective scaling — %s algorithms over lazy pairing, shared-CQ muxes and RDMA-eager rings", algoName(algo)),
 		Note: fmt.Sprintf("virtual µs of work per rank per operation (the clock is a shared total-work meter, DESIGN.md §9 — per-rank work is the latency proxy, O(log n) for the log family); %d timed iterations after warm-up; vec = %d int64 ring allreduce (ranks ≤ %d); bcast = %s binomial; hit%% = regcache rate after the first bcast",
@@ -56,8 +66,8 @@ func CollectiveScale(w io.Writer, smoke bool, algo mpi.Algo) error {
 		Headers: []string{"ranks", "pairs", "VIs", "goroutines",
 			"barrier µs/rk", "allred-8B µs/rk", "vec-32KiB µs/rk", "bcast-64KiB µs/rk", "hit %", "drained"},
 	}
-	for _, ranks := range rankCounts {
-		if err := collectivePoint(&s, ranks, algo); err != nil {
+	for _, ranks := range []int{16, 64, 256, 1024} {
+		if err := collectivePoint(&s, ranks, algo, base); err != nil {
 			return fmt.Errorf("e21 %d ranks: %w", ranks, err)
 		}
 	}
@@ -73,7 +83,7 @@ func algoName(a mpi.Algo) string {
 }
 
 // collectivePoint measures one rank count and appends its row.
-func collectivePoint(s *report.Table, ranks int, algo mpi.Algo) error {
+func collectivePoint(s *report.Table, ranks int, algo mpi.Algo, base int) error {
 	c := cluster.MustNew(cluster.Config{
 		Nodes:    4,
 		Strategy: core.StrategyKiobuf,
@@ -114,10 +124,10 @@ func collectivePoint(s *report.Table, ranks int, algo mpi.Algo) error {
 	}
 
 	// Warm-up: pairs the lazy endpoints and fills the caches.
-	if err := e21All(w, func(r *mpi.Rank) error { return r.Barrier() }); err != nil {
+	if err := eachRank(w, func(r *mpi.Rank) error { return r.Barrier() }); err != nil {
 		return err
 	}
-	goroutines := runtime.NumGoroutine()
+	goroutines := settledGoroutines(base+ranks) - base + 1
 
 	barrierUS, err := e21Time(c, w, e21Iters, func(r *mpi.Rank) error {
 		return r.Barrier()
@@ -126,7 +136,7 @@ func collectivePoint(s *report.Table, ranks int, algo mpi.Algo) error {
 		return err
 	}
 
-	if err := e21All(w, func(r *mpi.Rank) error { // warm-up
+	if err := eachRank(w, func(r *mpi.Rank) error { // warm-up
 		_, err := r.Allreduce(int64(r.ID()), mpi.OpSum)
 		return err
 	}); err != nil {
@@ -142,7 +152,7 @@ func collectivePoint(s *report.Table, ranks int, algo mpi.Algo) error {
 
 	vecUS := 0.0
 	if ranks <= e21RingCap {
-		if err := e21All(w, func(r *mpi.Rank) error { // warm-up
+		if err := eachRank(w, func(r *mpi.Rank) error { // warm-up
 			_, err := r.AllreduceVec(vec[r.ID()], mpi.OpSum)
 			return err
 		}); err != nil {
@@ -156,7 +166,7 @@ func collectivePoint(s *report.Table, ranks int, algo mpi.Algo) error {
 		}
 	}
 
-	if err := e21All(w, func(r *mpi.Rank) error { // warm-up registers bcast bufs
+	if err := eachRank(w, func(r *mpi.Rank) error { // warm-up registers bcast bufs
 		return r.Bcast(0, bcast[r.ID()])
 	}); err != nil {
 		return err
@@ -184,29 +194,19 @@ func collectivePoint(s *report.Table, ranks int, algo mpi.Algo) error {
 	return nil
 }
 
-// e21All drives fn on every rank concurrently and returns the first
-// error.
-func e21All(w *mpi.World, fn func(r *mpi.Rank) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, w.Size())
-	for i := 0; i < w.Size(); i++ {
-		r, err := w.Rank(i)
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func(i int, r *mpi.Rank) {
-			defer wg.Done()
-			errs[i] = fn(r)
-		}(i, r)
+// settledGoroutines returns the goroutine count once it is at most
+// want, or after leakcheck.DefaultTimeout.  The warm-up's rank
+// goroutines and the last world's pollers signal done just before they
+// exit, so a count read at once may still hold a few of them; a world
+// that keeps more than want alive prints its real count.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(leakcheck.DefaultTimeout)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return n
 }
 
 // e21Time runs iters collective iterations and returns the virtual
@@ -214,7 +214,7 @@ func e21All(w *mpi.World, fn func(r *mpi.Rank) error) error {
 func e21Time(c *cluster.Cluster, w *mpi.World, iters int, fn func(r *mpi.Rank) error) (float64, error) {
 	start := c.Meter.Now()
 	for i := 0; i < iters; i++ {
-		if err := e21All(w, fn); err != nil {
+		if err := eachRank(w, fn); err != nil {
 			return 0, err
 		}
 	}

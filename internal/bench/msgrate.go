@@ -27,6 +27,7 @@ func MsgRate(w io.Writer) error {
 		Note:   fmt.Sprintf("%d one-page messages total, multi-lane engine; wall-clock rate (higher is better) and virtual cost per message", totalMsgs),
 		XLabel: "VIs",
 		Lines:  []string{"kmsg/s", "sim-µs/msg"},
+		Wall:   []string{"kmsg/s"},
 	}
 	for _, nVIs := range []int{1, 2, 4, 8, 16} {
 		kmsg, simUS, err := msgRatePoint(nVIs, totalMsgs/nVIs)

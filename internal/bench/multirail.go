@@ -142,6 +142,7 @@ func multirailSetup(w io.Writer) error {
 		Note: fmt.Sprintf("%d connections, wall-clock; dial = full listener path (8 accept shards, backlog 256, ErrBacklogFull retried); pooled = VIPool checkout/checkin over 64 pooled VIs",
 			multirailVIs),
 		Headers: []string{"mode", "VIs", "wall-ms", "kconn/s", "accepted", "pruned", "refused", "hit %"},
+		Wall:    []string{"wall-ms", "kconn/s"},
 	}
 	if err := multirailDialRow(&t); err != nil {
 		return err

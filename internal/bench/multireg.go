@@ -38,11 +38,10 @@ func MultiReg(w io.Writer) error {
 const multiRegPages = 8
 
 func multiRegRow(s core.Strategy) ([]any, error) {
-	c, node, err := oneNode(s)
+	_, node, err := oneNode(s)
 	if err != nil {
 		return nil, err
 	}
-	_ = c
 	p := node.NewProcess("app", false)
 	buf, err := p.Malloc(multiRegPages * phys.PageSize)
 	if err != nil {

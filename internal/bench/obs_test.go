@@ -3,36 +3,26 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// TestObsGolden pins the E18 report byte-for-byte: the scenario runs
-// entirely in virtual time, so any drift means the instrumentation (or
-// the simulated cost model underneath it) changed and the golden file
-// must be regenerated deliberately with -update.
+// TestObsGolden pins the E18 report byte-for-byte, padding included:
+// the scenario runs entirely in virtual time and has no wall-clock
+// column, so any drift means the instrumentation (or the simulated cost
+// model underneath it) changed.  Regenerate testdata/obs.golden
+// deliberately with go test ./internal/bench -run TestLedgerGolden/obs
+// -update.
 func TestObsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Obs(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "obs.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(filepath.Join("testdata", "obs.golden"))
 	if err != nil {
-		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("obs report drifted from golden file.\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)

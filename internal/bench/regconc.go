@@ -33,6 +33,7 @@ func RegConc(w io.Writer) error {
 		Note:   fmt.Sprintf("%d ops total, 1/16 miss ratio; wall-clock throughput (higher is better) and cache hit rate", totalOps),
 		XLabel: "goroutines",
 		Lines:  []string{"kops/s", "hit-rate %"},
+		Wall:   []string{"kops/s"},
 	}
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		kops, hitRate, err := regConcPoint(workers, totalOps/workers)

@@ -1,6 +1,7 @@
-// Package bench implements the experiment sweeps behind cmd/viabench:
-// each function regenerates one of the evaluation's tables or figures
-// (see DESIGN.md's experiment index) and writes it as aligned text.
+// Package bench implements the experiment tables behind cmd/viabench:
+// each function in Tables regenerates one or more of the evaluation's
+// tables or figures (see DESIGN.md's experiment index) and writes them
+// as aligned text.
 package bench
 
 import (
@@ -70,43 +71,29 @@ func measureRegDereg(s core.Strategy, pages int) (reg, dereg float64, err error)
 
 // RegCost regenerates E3: registration cost vs region size per strategy.
 func RegCost(w io.Writer) error {
-	s := report.Series{
-		Title:  "E3: registration cost vs region size (simulated µs)",
-		Note:   "constant kernel-call offset + linear per-page term; kiobuf pays the pin per page, mlock pays VMA ops, refcount pays page-table walks",
-		XLabel: "region",
-		Lines:  strategyNames(),
-	}
-	for _, pages := range regSizes {
-		ys := make([]any, 0, len(core.Strategies()))
-		for _, strat := range core.Strategies() {
-			reg, _, err := measureRegDereg(strat, pages)
-			if err != nil {
-				return fmt.Errorf("%s/%d pages: %w", strat, pages, err)
-			}
-			ys = append(ys, reg)
-		}
-		s.AddPoint(report.Bytes(pages*phys.PageSize), ys...)
-	}
-	s.Fprint(w)
-	return nil
+	return costSeries(w, "E3: registration cost vs region size (simulated µs)",
+		"constant kernel-call offset + linear per-page term; kiobuf pays the pin per page, mlock pays VMA ops, refcount pays page-table walks",
+		func(reg, _ float64) float64 { return reg })
 }
 
 // DeregCost regenerates E4: deregistration cost vs region size.
 func DeregCost(w io.Writer) error {
-	s := report.Series{
-		Title:  "E4: deregistration cost vs region size (simulated µs)",
-		Note:   "one TPT invalidation per page plus the unlock path; mlock pays the munlock kernel call, kiobuf the unmap call",
-		XLabel: "region",
-		Lines:  strategyNames(),
-	}
+	return costSeries(w, "E4: deregistration cost vs region size (simulated µs)",
+		"one TPT invalidation per page plus the unlock path; mlock pays the munlock kernel call, kiobuf the unmap call",
+		func(_, dereg float64) float64 { return dereg })
+}
+
+// costSeries sweeps regSizes × strategies and plots pick(reg, dereg).
+func costSeries(w io.Writer, title, note string, pick func(reg, dereg float64) float64) error {
+	s := report.Series{Title: title, Note: note, XLabel: "region", Lines: strategyNames()}
 	for _, pages := range regSizes {
 		ys := make([]any, 0, len(core.Strategies()))
 		for _, strat := range core.Strategies() {
-			_, dereg, err := measureRegDereg(strat, pages)
+			reg, dereg, err := measureRegDereg(strat, pages)
 			if err != nil {
 				return fmt.Errorf("%s/%d pages: %w", strat, pages, err)
 			}
-			ys = append(ys, dereg)
+			ys = append(ys, pick(reg, dereg))
 		}
 		s.AddPoint(report.Bytes(pages*phys.PageSize), ys...)
 	}

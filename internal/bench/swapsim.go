@@ -1,18 +1,8 @@
-// Command swapsim demonstrates the §2 swap mechanics the paper analyses
-// (experiment E9): it boots a small node, populates page cache and
-// process memory, applies pressure, and prints how the clock scan and
-// the swap_out chain treat each page category — locked pages skipped,
-// cache pages cycled, plain process pages evicted.
-//
-// Usage:
-//
-//	swapsim [-ram pages] [-cache pages] [-locked pages] [-pinned pages] [-hog fraction]
-package main
+package bench
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"repro/internal/mm"
 	"repro/internal/pgtable"
@@ -23,22 +13,20 @@ import (
 	"repro/internal/vma"
 )
 
-func main() {
-	ram := flag.Int("ram", 1024, "physical frames")
-	cachePages := flag.Int("cache", 128, "page-cache frames to populate")
-	lockedPages := flag.Int("locked", 32, "process pages locked with mlock")
-	pinnedPages := flag.Int("pinned", 32, "process pages pinned via kiobuf-style pins")
-	plainPages := flag.Int("plain", 64, "ordinary process pages")
-	hog := flag.Float64("hog", 1.25, "allocator pressure as a fraction of RAM")
-	flag.Parse()
-
-	if err := run(*ram, *cachePages, *lockedPages, *pinnedPages, *plainPages, *hog); err != nil {
-		fmt.Fprintln(os.Stderr, "swapsim:", err)
-		os.Exit(1)
-	}
-}
-
-func run(ram, cachePages, lockedPages, pinnedPages, plainPages int, hog float64) error {
+// SwapSim regenerates E9, the §2 swap mechanics the paper analyses: it
+// boots a small node, populates page cache and process memory, applies
+// pressure, and prints how the clock scan and the swap_out chain treat
+// each page category — locked pages skipped, cache pages cycled, plain
+// process pages evicted.
+func SwapSim(w io.Writer) error {
+	const (
+		ram         = 1024 // physical frames
+		cachePages  = 128  // page-cache frames to populate
+		lockedPages = 32   // process pages locked with mlock
+		pinnedPages = 32   // process pages pinned via kiobuf-style pins
+		plainPages  = 64   // ordinary process pages
+		hog         = 1.25 // allocator pressure as a fraction of RAM
+	)
 	cfg := mm.DefaultConfig()
 	cfg.RAMPages = ram
 	k := mm.NewKernel(cfg, simtime.NewMeter())
@@ -75,7 +63,7 @@ func run(ram, cachePages, lockedPages, pinnedPages, plainPages int, hog float64)
 	k.PopulateCache(cachePages)
 
 	before := k.Stats()
-	fmt.Printf("before pressure: %d/%d frames free, cache %d pages\n\n",
+	fmt.Fprintf(w, "before pressure: %d/%d frames free, cache %d pages\n\n",
 		k.FreePages(), ram, k.CachePages())
 
 	pres, err := pressure.Level(k, hog)
@@ -106,7 +94,7 @@ func run(ram, cachePages, lockedPages, pinnedPages, plainPages int, hog float64)
 	addRow("pinned (kiobuf)", pinnedPages, resident(pinnedAddr, pinnedPages))
 	addRow("plain process", plainPages, resident(plainAddr, plainPages))
 	addRow("page cache", cachePages, k.CachePages())
-	t.Fprint(os.Stdout)
+	t.Fprint(w)
 
 	after := k.Stats()
 	s := report.Table{
@@ -121,6 +109,6 @@ func run(ram, cachePages, lockedPages, pinnedPages, plainPages int, hog float64)
 	s.AddRow("pages swapped back in", after.SwapIns-before.SwapIns)
 	s.AddRow("swap-cache hits (writes skipped)", after.SwapCacheHit-before.SwapCacheHit)
 	s.AddRow("major faults", after.MajorFaults-before.MajorFaults)
-	s.Fprint(os.Stdout)
+	s.Fprint(w)
 	return nil
 }

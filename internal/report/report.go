@@ -1,10 +1,11 @@
 // Package report renders the experiments' tables and series as aligned
-// plain text, the way the harness binaries print them.
+// plain text, the way viabench prints them.
 package report
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -15,7 +16,16 @@ type Table struct {
 	Note    string
 	Headers []string
 	Rows    [][]string
+	// Wall names the columns measured on the host's clock.  Every other
+	// cell is simulated or counted and repeats exactly from run to run.
+	Wall []string
 }
+
+// Ledger wraps w so that the tables printed to it show "~" in their Wall
+// columns: the form in which the golden files pin every other cell.
+func Ledger(w io.Writer) io.Writer { return ledger{w} }
+
+type ledger struct{ io.Writer }
 
 // AddRow appends one row, stringifying each cell with %v.
 func (t *Table) AddRow(cells ...any) {
@@ -33,6 +43,10 @@ func (t *Table) AddRow(cells ...any) {
 
 // Fprint writes the table, columns padded to their widest cell.
 func (t *Table) Fprint(w io.Writer) {
+	rows := t.Rows
+	if _, ok := w.(ledger); ok && len(t.Wall) > 0 {
+		rows = t.maskWall()
+	}
 	if t.Title != "" {
 		fmt.Fprintf(w, "%s\n%s\n", t.Title, strings.Repeat("=", len(t.Title)))
 	}
@@ -40,7 +54,7 @@ func (t *Table) Fprint(w io.Writer) {
 	for i, h := range t.Headers {
 		widths[i] = utf8.RuneCountInString(h)
 	}
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		for i, cell := range row {
 			if w := utf8.RuneCountInString(cell); i < len(widths) && w > widths[i] {
 				widths[i] = w
@@ -64,13 +78,27 @@ func (t *Table) Fprint(w io.Writer) {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	printRow(sep)
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		printRow(row)
 	}
 	if t.Note != "" {
 		fmt.Fprintf(w, "  note: %s\n", t.Note)
 	}
 	fmt.Fprintln(w)
+}
+
+// maskWall returns the rows with every Wall column's cells set to "~".
+func (t *Table) maskWall() [][]string {
+	rows := make([][]string, len(t.Rows))
+	for r, row := range t.Rows {
+		rows[r] = append([]string(nil), row...)
+		for i := range row {
+			if i < len(t.Headers) && slices.Contains(t.Wall, t.Headers[i]) {
+				rows[r][i] = "~"
+			}
+		}
+	}
+	return rows
 }
 
 func pad(s string, w int) string {
@@ -88,6 +116,7 @@ type Series struct {
 	Note   string
 	XLabel string
 	Lines  []string
+	Wall   []string // the Lines measured on the host's clock, as Table.Wall
 	rows   []seriesRow
 }
 
@@ -112,7 +141,7 @@ func (s *Series) AddPoint(x any, ys ...any) {
 
 // Fprint renders the series as an aligned table.
 func (s *Series) Fprint(w io.Writer) {
-	t := Table{Title: s.Title, Note: s.Note, Headers: append([]string{s.XLabel}, s.Lines...)}
+	t := Table{Title: s.Title, Note: s.Note, Headers: append([]string{s.XLabel}, s.Lines...), Wall: s.Wall}
 	for _, r := range s.rows {
 		t.Rows = append(t.Rows, append([]string{r.x}, r.ys...))
 	}

@@ -55,6 +55,21 @@ func TestSeries(t *testing.T) {
 	}
 }
 
+func TestLedgerMasksWallColumns(t *testing.T) {
+	s := Series{XLabel: "n", Lines: []string{"kops/s", "sim-µs"}, Wall: []string{"kops/s"}}
+	s.AddPoint(1, 1234.5, 2.0)
+	var plain, masked strings.Builder
+	s.Fprint(&plain)
+	s.Fprint(Ledger(&masked))
+	if !strings.Contains(plain.String(), "1234.50") {
+		t.Fatalf("plain output lost the wall-clock cell:\n%s", plain.String())
+	}
+	want := "  n  kops/s  sim-µs\n  -  ------  ------\n  1  ~       2.00\n\n"
+	if masked.String() != want {
+		t.Fatalf("ledger output:\n%q\nwant\n%q", masked.String(), want)
+	}
+}
+
 func TestBytes(t *testing.T) {
 	cases := map[int]string{
 		100:     "100B",
