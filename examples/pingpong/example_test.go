@@ -1,14 +1,7 @@
 package main
 
-import (
-	"log"
-	"os"
-)
-
-// Example runs the program; go test checks what it prints.  The table
-// goes to the log writer (stderr), so the example points it at stdout.
+// Example runs the program; go test checks what it prints.
 func Example() {
-	log.SetOutput(os.Stdout)
 	main()
 	// Output:
 	// pingpong: half-round-trip latency (sim µs) and bandwidth (sim MB/s)

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -40,7 +41,7 @@ func main() {
 		}
 		s.AddPoint(report.Bytes(size), eagerLat, eagerBW, autoLat, autoBW)
 	}
-	s.Fprint(log.Writer())
+	s.Fprint(os.Stdout)
 	fmt.Println("done; protocols switch at",
 		report.Bytes(msg.EagerMax), "and", report.Bytes(msg.OneCopyMax))
 }

@@ -1,9 +1,11 @@
 package bench
 
 // E17: the chaos/soak harness.  Each fault class gets a fresh two-node
-// fabric with reliability-enabled msg endpoints and a deterministic
-// injector, then runs the ping-pong and burst (msgrate-shaped) workloads
-// under sustained faults.  The harness asserts the fabric either
+// fabric with msg endpoints on Reliable Reception VIs (the NIC retries
+// transient faults) and a deterministic injector, then runs the
+// ping-pong and burst (msgrate-shaped) workloads under sustained
+// faults.  A fault the NIC cannot absorb breaks the pair; the harness
+// brings it back with msg.Repair.  It asserts the fabric either
 // delivers verified payloads or fails *loudly* with typed errors:
 //
 //   - zero silent corruptions — every delivered payload's pattern is
@@ -20,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -56,14 +59,15 @@ type chaosClass struct {
 	proto      msg.Protocol // forced A→B protocol ("" = mixed eager/one-copy)
 	sizes      []int        // ping-pong A→B sizes (nil = harness default)
 	burstSize  int          // burst message size (0 = harness default)
-	relTimeout time.Duration
-	epOpts     msg.Options // endpoint options (e.g. pin-free payloads)
+	epOpts     msg.Options  // endpoint options (e.g. pin-free payloads)
 	// mmTweak adjusts both kernels' memory config before construction
 	// (e.g. shrink RAM so reclaim runs organically mid-transfer).
 	mmTweak func(cfg *mm.Config)
 	setup   func(f *chaosFabric)
 	// beforeRound optionally perturbs the fabric before a round (and
-	// once before the burst); it may return a cleanup func.
+	// once before the burst); it may return a cleanup func, which runs
+	// once the faulted transfer is over and before a broken pair is
+	// repaired.
 	beforeRound func(f *chaosFabric, r int) func()
 	teardown    func(f *chaosFabric)
 	// verify optionally checks post-drain invariants (e.g. trace-paired
@@ -86,7 +90,7 @@ func chaosClasses() []chaosClass {
 			f.inj.FailProb(via.SiteLink, 0.08, nil)
 		}},
 		{name: "partition", beforeRound: chaosPartition},
-		{name: "lane", relTimeout: 150 * time.Microsecond,
+		{name: "lane",
 			setup: func(f *chaosFabric) {
 				f.nicA.StartEngineLanes(2)
 				f.inj.StallProb(via.SiteLane, 0.25, 300*time.Microsecond)
@@ -146,26 +150,16 @@ func chaosClasses() []chaosClass {
 	}
 }
 
-// chaosPartition severs the link every other round and heals it as soon
-// as the partition has been observed (a NIC fault), so the sender's
-// bounded retries always get a healthy fabric to retransmit over.
+// chaosPartition severs the link every other round; the cleanup heals
+// it.  The NIC's retries run back to back in sim time, so the faulted
+// transfer spends them all at once and fails typed; the heal and the
+// pair's Repair follow it.
 func chaosPartition(f *chaosFabric, r int) func() {
 	if r%2 != 0 {
 		return nil
 	}
-	before := f.nicA.Stats().Faults + f.nicB.Stats().Faults
 	f.nw.SetLinkDown("nodeA", "nodeB")
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		deadline := time.Now().Add(2 * time.Second)
-		for f.nicA.Stats().Faults+f.nicB.Stats().Faults == before &&
-			time.Now().Before(deadline) {
-			time.Sleep(50 * time.Microsecond)
-		}
-		f.nw.SetLinkUp("nodeA", "nodeB")
-	}()
-	return func() { <-done }
+	return func() { f.nw.SetLinkUp("nodeA", "nodeB") }
 }
 
 // chaosPhysFault arms a one-shot frame-write failure on the receiver's
@@ -186,20 +180,27 @@ func chaosPhysFault(f *chaosFabric, r int) func() {
 	}
 }
 
+// chaosNopinPasses is the storm's length: SwapOut passes per kernel.
+// One pass evicts a page at most once, so a transfer's page faults at
+// most once plus once per pass — within the NIC's fault-and-retry bound
+// of four per page (plus slack), which the storm must not outrun: an IO
+// page fault that stops resolving fails the transfer loudly.
+const chaosNopinPasses = 3
+
 // chaosNopinStorm runs a reclaim storm concurrent with the round: both
-// kernels evict continuously for a bounded real-time window, so pages
-// of pin-free payload registrations go non-present while the transfer
-// is in flight and the DMA must fault and repair mid-stream.  The
-// cleanup joins the storm and books its evictions as injected faults.
+// kernels evict for a fixed number of passes, yielding between them, so
+// pages of pin-free payload registrations go non-present while the
+// transfer is in flight and the DMA must fault and repair mid-stream.
+// The cleanup joins the storm and books its evictions as injected
+// faults.
 func chaosNopinStorm(f *chaosFabric, r int) func() {
 	done := make(chan int, 1)
 	go func() {
 		n := 0
-		deadline := time.Now().Add(5 * time.Millisecond)
-		for time.Now().Before(deadline) {
+		for i := 0; i < chaosNopinPasses; i++ {
 			n += f.kernelA.SwapOut(64)
 			n += f.kernelB.SwapOut(64)
-			time.Sleep(10 * time.Microsecond)
+			runtime.Gosched()
 		}
 		done <- n
 	}()
@@ -277,9 +278,12 @@ type chaosFabric struct {
 	inj              *faultinject.Injector
 	trc              *trace.Tracer // set by classes with a verify hook
 	sideInjected     uint64        // injections from per-round side injectors
+	repairs          int           // msg.Repair calls after a broken transfer
 }
 
-func newChaosFabric(seed int64, rel msg.ReliabilityConfig, cl *chaosClass) (*chaosFabric, error) {
+// newChaosFabric builds the class's fabric: its endpoint options on
+// Reliable Reception VIs, the injector armed on nodeA.
+func newChaosFabric(seed int64, cl *chaosClass) (*chaosFabric, error) {
 	meter := simtime.NewMeter()
 	cfg := mm.Config{RAMPages: 4096, SwapPages: 8192, ClockBatch: 128, SwapBatch: 32}
 	if cl.mmTweak != nil {
@@ -303,27 +307,41 @@ func newChaosFabric(seed int64, rel msg.ReliabilityConfig, cl *chaosClass) (*cha
 	f.agentB = kagent.New(f.kernelB, f.nicB, core.MustNew(core.StrategyKiobuf))
 	f.procA = proc.New(f.kernelA, "chaos-a", false)
 	f.procB = proc.New(f.kernelB, "chaos-b", false)
+	opts := cl.epOpts
+	opts.Reliability = via.ReliableReception
 	var err error
-	if f.epA, err = msg.NewEndpoint("A", vipl.OpenNic(f.agentA, f.procA), meter, 0, cl.epOpts); err != nil {
+	if f.epA, err = msg.NewEndpoint("A", vipl.OpenNic(f.agentA, f.procA), meter, 0, opts); err != nil {
 		return nil, err
 	}
-	if f.epB, err = msg.NewEndpoint("B", vipl.OpenNic(f.agentB, f.procB), meter, 0, cl.epOpts); err != nil {
+	if f.epB, err = msg.NewEndpoint("B", vipl.OpenNic(f.agentB, f.procB), meter, 0, opts); err != nil {
 		return nil, err
 	}
 	if err := msg.Pair(f.nw, f.epA, f.epB); err != nil {
 		return nil, err
 	}
-	f.epA.EnableReliability(rel)
-	f.epB.EnableReliability(rel)
 	f.epA.Cache().EnableNICResetInvalidation()
 	f.inj = faultinject.New(seed)
 	f.nicA.SetFaultInjector(f.inj)
 	return f, nil
 }
 
+// repair brings the pair back after a broken transfer.  Both endpoints
+// must have returned from it (see msg.Repair).
+func (f *chaosFabric) repair() error {
+	f.repairs++
+	if err := msg.Repair(f.epA, f.epB); err != nil {
+		return fmt.Errorf("chaos: repair: %w", err)
+	}
+	return nil
+}
+
+// untyped reports a failure outside the chaos contract: anything but a
+// broken connection surfacing as msg.ErrTransport.
+func untyped(err error) bool { return err != nil && !errors.Is(err, msg.ErrTransport) }
+
 // oneWay runs a single verified transfer.  loudErr is a typed transport
 // failure (acceptable under chaos); fatalErr is a harness invariant
-// violation — above all, a silent corruption.
+// violation — above all, a silent corruption or an untyped failure.
 func (f *chaosFabric) oneWay(from, to *msg.Endpoint, fromProc, toProc *proc.Process,
 	size int, proto msg.Protocol, seed byte, degradable bool) (degraded bool, loudErr, fatalErr error) {
 	src, err := fromProc.Malloc(size)
@@ -363,6 +381,9 @@ func (f *chaosFabric) oneWay(from, to *msg.Endpoint, fromProc, toProc *proc.Proc
 	}()
 	n, rerr := to.Recv(dst)
 	s := <-sc
+	if untyped(s.err) || untyped(rerr) {
+		return s.deg, nil, fmt.Errorf("chaos: untyped failure: %w", errors.Join(s.err, rerr))
+	}
 	if s.err != nil || rerr != nil {
 		return s.deg, errors.Join(s.err, rerr), nil
 	}
@@ -380,7 +401,7 @@ func (f *chaosFabric) oneWay(from, to *msg.Endpoint, fromProc, toProc *proc.Proc
 }
 
 // pingPong alternates A→B (mixed sizes/protocols, faulted side) with a
-// B→A eager pong every round.
+// B→A eager pong every round; a loud transfer is followed by Repair.
 func (f *chaosFabric) pingPong(cl *chaosClass) (ok, loud, degraded int, err error) {
 	sizes := []int{512, 3000, 2*msg.SlotSize + 37}
 	if cl.sizes != nil {
@@ -400,26 +421,27 @@ func (f *chaosFabric) pingPong(cl *chaosClass) (ok, loud, degraded int, err erro
 		}
 		deg, lerr, ferr := f.oneWay(f.epA, f.epB, f.procA, f.procB,
 			sizes[r%len(sizes)], proto, byte(2*r+1), cl.degradable)
+		if cleanup != nil {
+			cleanup()
+		}
 		if deg {
 			degraded++
 		}
-		if lerr != nil {
+		if ferr == nil && lerr != nil {
 			loud++
+			ferr = f.repair()
 		} else if ferr == nil {
 			ok++
 		}
 		if ferr == nil {
-			_, lerr2, ferr2 := f.oneWay(f.epB, f.epA, f.procB, f.procA,
+			_, lerr, ferr = f.oneWay(f.epB, f.epA, f.procB, f.procA,
 				512, msg.Eager, byte(2*r+2), false)
-			if lerr2 != nil {
+			if ferr == nil && lerr != nil {
 				loud++
-			} else if ferr2 == nil {
+				ferr = f.repair()
+			} else if ferr == nil {
 				ok++
 			}
-			ferr = ferr2
-		}
-		if cleanup != nil {
-			cleanup()
 		}
 		if ferr != nil {
 			return ok, loud, degraded, fmt.Errorf("round %d: %w", r, ferr)
@@ -429,11 +451,13 @@ func (f *chaosFabric) pingPong(cl *chaosClass) (ok, loud, degraded int, err erro
 }
 
 // burst is the msgrate-shaped soak: back-to-back small messages with a
-// concurrent receiver verifying every payload in order.  The receiver
-// keeps receiving — and with that, answering the recovery handshake —
-// until a one-byte end marker arrives, which the sender sends once the
-// faults are off: a sender whose last message was delivered but whose
-// connection was left in the error state then still finds its peer.
+// concurrent receiver verifying every payload in order.  Every
+// announced message ends one Recv, delivered or failed, and the
+// receiver reports each outcome; after a failed Send the sender waits
+// until every message it sent has one, so the receiver is parked in
+// Recv, then heals the round's fault and repairs the pair.  A failed
+// message counts once, as the sender's.  The receiver stops at a
+// one-byte end marker sent once the faults are off.
 func (f *chaosFabric) burst(cl *chaosClass) (ok, loud, degraded int, err error) {
 	faultsOff := func() {}
 	if cl.beforeRound != nil {
@@ -447,44 +471,47 @@ func (f *chaosFabric) burst(cl *chaosClass) (ok, loud, degraded int, err error) 
 		size = cl.burstSize
 	}
 	type rres struct {
-		ok, loud int
-		err      error
+		ok  int
+		err error
 	}
 	rc := make(chan rres, 1)
+	outcomes := make(chan struct{}, chaosBurstMsgs)
 	go func() {
 		var res rres
+		defer func() { rc <- res }()
 		dst, err := f.procB.Malloc(size)
 		if err != nil {
 			res.err = err
-			rc <- res
 			return
 		}
 		defer func() { _ = f.procB.Free(dst) }()
 		for i := 0; ; i++ {
 			n, err := f.epB.Recv(dst)
-			if err != nil {
-				res.loud++
+			switch {
+			case untyped(err):
+				res.err = fmt.Errorf("chaos burst: message %d: untyped failure: %w", i, err)
+				return
+			case err != nil:
+				outcomes <- struct{}{}
 				continue
-			}
-			if n == chaosBurstEnd {
-				break
-			}
-			if n != size {
+			case n == chaosBurstEnd:
+				return
+			case n != size:
 				res.err = fmt.Errorf("chaos burst: message %d delivered %d of %d", i, n, size)
-				break
+				return
 			}
 			bad, verr := dst.VerifyPattern(byte(100 + i))
 			if verr != nil {
 				res.err = verr
-				break
+				return
 			}
 			if len(bad) != 0 {
 				res.err = fmt.Errorf("chaos burst: silent corruption in message %d, pages %v", i, bad)
-				break
+				return
 			}
 			res.ok++
+			outcomes <- struct{}{}
 		}
-		rc <- res
 	}()
 
 	proto := msg.Eager
@@ -496,12 +523,13 @@ func (f *chaosFabric) burst(cl *chaosClass) (ok, loud, degraded int, err error) 
 		return 0, 0, 0, err
 	}
 	defer func() { _ = f.procA.Free(src) }()
+	seen := 0 // outcomes collected
 	for i := 0; i < chaosBurstMsgs; i++ {
 		select {
 		case res := <-rc:
 			// The receiver only leaves early on a violation; say so now
 			// rather than send the rest to nobody and hit the watchdog.
-			return res.ok, loud + res.loud, degraded, res.err
+			return res.ok, loud, degraded, res.err
 		default:
 		}
 		if err := src.FillPattern(byte(100 + i)); err != nil {
@@ -512,13 +540,27 @@ func (f *chaosFabric) burst(cl *chaosClass) (ok, loud, degraded int, err error) 
 			degraded++
 			_, serr = f.epA.Send(src, msg.Eager)
 		}
-		if serr != nil {
-			loud++
+		if serr == nil {
+			continue
+		}
+		if untyped(serr) {
+			return 0, loud, degraded, fmt.Errorf("chaos burst: message %d: untyped failure: %w", i, serr)
+		}
+		loud++
+		for ; seen <= i; seen++ {
+			select {
+			case <-outcomes:
+			case res := <-rc:
+				return res.ok, loud, degraded, res.err
+			}
+		}
+		faultsOff()
+		if err := f.repair(); err != nil {
+			return 0, loud, degraded, err
 		}
 	}
 	// Faults off (the caller detaches the injectors for good right after
-	// the burst), then the end marker: it may need a recovery handshake,
-	// never more than that.
+	// the burst), then the end marker.
 	faultsOff()
 	f.nicA.SetFaultInjector(nil)
 	f.agentA.SetFaultInjector(nil)
@@ -531,10 +573,7 @@ func (f *chaosFabric) burst(cl *chaosClass) (ok, loud, degraded int, err error) 
 		return 0, loud, degraded, fmt.Errorf("chaos burst: end marker with the faults off: %w", err)
 	}
 	res := <-rc
-	if res.err != nil {
-		return res.ok, loud + res.loud, degraded, res.err
-	}
-	return res.ok, loud + res.loud, degraded, nil
+	return res.ok, loud, degraded, res.err
 }
 
 // drain proves the fabric is whole after the faults stop: more than one
@@ -562,20 +601,13 @@ type chaosResult struct {
 	ok, loud, degraded int
 	injected           uint64
 	nic                via.Stats // nicA + nicB, summed
-	rel                msg.ReliabilityStats
+	repairs            int       // pairs brought back with msg.Repair
 }
 
 func runChaosClass(cl chaosClass, idx int) (chaosResult, error) {
 	res := chaosResult{class: cl.name}
 	base := leakcheck.Snapshot()
-	rel := msg.ReliabilityConfig{
-		MaxRetries:  10,
-		Timeout:     cl.relTimeout,
-		BackoffBase: 50 * time.Microsecond,
-		BackoffMax:  2 * time.Millisecond,
-		Seed:        chaosSeed + int64(idx),
-	}
-	f, err := newChaosFabric(chaosSeed+int64(idx), rel, &cl)
+	f, err := newChaosFabric(chaosSeed+int64(idx), &cl)
 	if err != nil {
 		return res, err
 	}
@@ -622,8 +654,10 @@ func runChaosClass(cl chaosClass, idx int) (chaosResult, error) {
 
 	res.injected = f.inj.Stats().Total() + f.sideInjected
 	res.nic = sumStats(f.nicA.Stats(), f.nicB.Stats())
-	res.rel = sumRel(f.epA.ReliabilityStats(), f.epB.ReliabilityStats())
-	if res.injected == 0 && res.nic.Faults == 0 && res.nic.IOPageFaults == 0 && res.degraded == 0 {
+	res.repairs = f.repairs
+	// A fault the NIC absorbed by retrying fired all the same.
+	if res.injected == 0 && res.nic.Faults == 0 && res.nic.Retries == 0 &&
+		res.nic.IOPageFaults == 0 && res.degraded == 0 {
 		return res, fmt.Errorf("class %q injected nothing — the fault schedule is dead", cl.name)
 	}
 	if err := leakcheck.Verify(base, 5*time.Second); err != nil {
@@ -654,22 +688,13 @@ func sumStats(a, b via.Stats) via.Stats {
 	a.DescriptorsFlushed += b.DescriptorsFlushed
 	a.Recoveries += b.Recoveries
 	a.NICResets += b.NICResets
+	a.Retries += b.Retries
 	a.IOPageFaults += b.IOPageFaults
 	a.FaultRetries += b.FaultRetries
 	a.SpecRetransmits += b.SpecRetransmits
 	a.RetransmitBytes += b.RetransmitBytes
 	a.TPTInvalidations += b.TPTInvalidations
 	a.TPTRepairs += b.TPTRepairs
-	return a
-}
-
-func sumRel(a, b msg.ReliabilityStats) msg.ReliabilityStats {
-	a.Retries += b.Retries
-	a.Recoveries += b.Recoveries
-	a.AckRescues += b.AckRescues
-	a.Timeouts += b.Timeouts
-	a.Duplicates += b.Duplicates
-	a.Aborts += b.Aborts
 	return a
 }
 
@@ -683,7 +708,7 @@ const (
 // severed mid-collective on even rounds.  The contract is per rank —
 // every rank either returns the correct global sum or a typed error
 // wrapping mpi.ErrCollectiveAborted; no rank may hang (the abort
-// doorbell plus bounded RecvTimeout/retries guarantee liveness, the
+// doorbell plus bounded RecvTimeout and NIC retries guarantee liveness, the
 // watchdog enforces it) and no goroutine may leak.  Worlds are not
 // reused after an abort: MPI_Abort semantics end the job, so recovery
 // means a clean next job, not a resumed one.
@@ -700,14 +725,7 @@ func chaosMPI() (chaosResult, error) {
 		})
 		w, err := mpi.NewWorldOpts(c, chaosMPIRanks, mpi.WorldOptions{
 			SharedCQ: true,
-			Endpoint: msg.Options{RecvTimeout: 250 * time.Millisecond},
-			Reliability: &msg.ReliabilityConfig{
-				MaxRetries:       2,
-				BackoffBase:      50 * time.Microsecond,
-				BackoffMax:       time.Millisecond,
-				HandshakeTimeout: 100 * time.Millisecond,
-				Seed:             chaosSeed + int64(round),
-			},
+			Endpoint: msg.Options{RecvTimeout: 250 * time.Millisecond, Reliability: via.ReliableReception},
 		})
 		if err != nil {
 			return res, err
@@ -811,8 +829,8 @@ func Chaos(w io.Writer) error {
 		Title: "E17: chaos/soak — per-fault-class recovery scoreboard",
 		Note: "every delivered payload verified, every failure typed; drain of " +
 			fmt.Sprint(2*chaosDrainMsgs) + " clean messages and a goroutine leak check close each class",
-		Headers: []string{"class", "ok", "loud", "degraded", "injected",
-			"faults", "vi-err", "flushed", "resets", "io-faults", "repairs", "retries", "recov", "acks", "dups", "timeouts"},
+		Headers: []string{"class", "ok", "loud", "degraded", "injected", "nic-retries",
+			"faults", "vi-err", "flushed", "resets", "io-faults", "repairs", "pair-repairs"},
 	}
 	for i, cl := range chaosClasses() {
 		r, err := runChaosClass(cl, i)
@@ -857,8 +875,7 @@ func Chaos(w io.Writer) error {
 }
 
 func addChaosRow(t *report.Table, r chaosResult) {
-	t.AddRow(r.class, r.ok, r.loud, r.degraded, r.injected,
+	t.AddRow(r.class, r.ok, r.loud, r.degraded, r.injected, r.nic.Retries,
 		r.nic.Faults, r.nic.VIErrors, r.nic.DescriptorsFlushed, r.nic.NICResets,
-		r.nic.IOPageFaults, r.nic.TPTRepairs,
-		r.rel.Retries, r.rel.Recoveries, r.rel.AckRescues, r.rel.Duplicates, r.rel.Timeouts)
+		r.nic.IOPageFaults, r.nic.TPTRepairs, r.repairs)
 }

@@ -33,13 +33,7 @@ func chaosScribble() (chaosResult, error) {
 	for i, pol := range []msg.ScribblePolicy{msg.ScribbleFail, msg.ScribbleCopy} {
 		cl := &chaosClass{name: "scribble", proto: msg.Remap,
 			epOpts: msg.Options{ScribblePolicy: pol}}
-		rel := msg.ReliabilityConfig{
-			MaxRetries:  10,
-			BackoffBase: 50 * time.Microsecond,
-			BackoffMax:  2 * time.Millisecond,
-			Seed:        chaosSeed + 70 + int64(i),
-		}
-		f, err := newChaosFabric(chaosSeed+70+int64(i), rel, cl)
+		f, err := newChaosFabric(chaosSeed+70+int64(i), cl)
 		if err != nil {
 			return res, err
 		}
@@ -75,7 +69,7 @@ func chaosScribble() (chaosResult, error) {
 		res.degraded += int(f.epA.Stats().RemapFallbacks)
 		res.injected += f.inj.Stats().Total()
 		res.nic = sumStats(res.nic, sumStats(f.nicA.Stats(), f.nicB.Stats()))
-		res.rel = sumRel(res.rel, sumRel(f.epA.ReliabilityStats(), f.epB.ReliabilityStats()))
+		res.repairs += f.repairs
 	}
 	if res.injected == 0 {
 		return res, fmt.Errorf("class %q injected nothing — the fault schedule is dead", res.class)
@@ -87,8 +81,8 @@ func chaosScribble() (chaosResult, error) {
 }
 
 // scribbleRound runs one transfer under the concurrent writer.  A loud
-// round (typed transport failure on both sides) heals the fabric with an
-// uncounted eager exchange so the next round starts whole.
+// round (typed transport failure on both sides) repairs the pair so the
+// next round starts whole.
 func scribbleRound(f *chaosFabric, pol msg.ScribblePolicy, r int) (ok, loud int, fatal error) {
 	sizes := []int{16 * phys.PageSize, 8*phys.PageSize + 37, 24 * phys.PageSize}
 	size := sizes[r%len(sizes)]
@@ -174,12 +168,7 @@ func scribbleRound(f *chaosFabric, pol msg.ScribblePolicy, r int) (ok, loud int,
 		if rerr != nil && !errors.Is(rerr, msg.ErrTransport) {
 			return 0, 0, fmt.Errorf("chaos scribble: untyped recv failure: %w", rerr)
 		}
-		// Heal: one uncounted reliable exchange recovers the errored VI.
-		_, _, herr := f.oneWay(f.epA, f.epB, f.procA, f.procB, 1024, msg.Eager, seed, false)
-		if herr != nil {
-			return 0, 1, nil // still partitioned; later rounds stay loud
-		}
-		return 0, 1, nil
+		return 0, 1, f.repair()
 	}
 	if n != size {
 		return 0, 0, fmt.Errorf("chaos scribble: claimed success but delivered %d of %d", n, size)
@@ -201,12 +190,16 @@ func scribbleRound(f *chaosFabric, pol msg.ScribblePolicy, r int) (ok, loud int,
 }
 
 // scribbleVerify proves the schedule was alive and nothing leaked: the
-// Remap path actually ran, the writer actually collided with revocation
-// windows (fail-fast counts scribble faults, copy-on-touch counts guard
-// copies), and no donated frame was stranded on either kernel.
+// Remap path actually ran, a DMA fault fired (absorbed by a NIC retry
+// or not), the writer actually collided with revocation windows
+// (fail-fast counts scribble faults, copy-on-touch counts guard copies),
+// and no donated frame was stranded on either kernel.
 func scribbleVerify(f *chaosFabric, pol msg.ScribblePolicy) error {
 	if f.epA.Stats().RemapSends == 0 {
 		return fmt.Errorf("chaos scribble: no remap send completed — class tested nothing")
+	}
+	if st := sumStats(f.nicA.Stats(), f.nicB.Stats()); st.Faults+st.Retries == 0 {
+		return fmt.Errorf("chaos scribble: no DMA fault fired — the fault schedule is dead")
 	}
 	ks := f.kernelA.Stats()
 	switch pol {

@@ -11,13 +11,15 @@ import (
 
 // TestChaosScribbleClass runs the E17 scribble class standalone: both
 // policies, the aimed writer, the DMA fault schedule, the frame-ledger
-// and leak checks.  The scoreboard must show live rounds on every axis.
+// and leak checks.  The scoreboard must show live rounds on every axis;
+// a DMA fault the NIC absorbed by retrying fired as much as one that
+// made a round loud.
 func TestChaosScribbleClass(t *testing.T) {
 	res, err := chaosScribble()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ok == 0 || res.loud == 0 || res.injected == 0 {
+	if res.ok == 0 || res.loud+int(res.nic.Retries) == 0 || res.injected == 0 {
 		t.Fatalf("scoreboard %+v: a dead schedule slipped past the runner", res)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mm"
 	"repro/internal/msg"
 	"repro/internal/race"
+	"repro/internal/via"
 )
 
 // worldOpts builds a world with explicit options on a fresh cluster.
@@ -353,17 +354,13 @@ func TestCollectiveCacheReuse(t *testing.T) {
 // TestCollectiveAbort partitions the fabric and checks the abort
 // protocol: every rank's collective returns a clean
 // ErrCollectiveAborted — none of them hangs.  RecvTimeout bounds the
-// receives of ranks whose partner died before announcing anything (the
-// reliability timeouts only cover transfers already in flight).
+// receives of ranks whose partner died before announcing anything (a
+// partitioned transfer in flight fails once the NIC's retries are
+// spent).
 func TestCollectiveAbort(t *testing.T) {
 	const ranks = 4
 	c, w := worldOpts(t, 2, ranks, WorldOptions{
-		Endpoint: msg.Options{RecvTimeout: 500 * time.Millisecond},
-		Reliability: &msg.ReliabilityConfig{
-			MaxRetries:       2,
-			BackoffBase:      50 * time.Microsecond,
-			HandshakeTimeout: 250 * time.Millisecond,
-		},
+		Endpoint: msg.Options{RecvTimeout: 500 * time.Millisecond, Reliability: via.ReliableReception},
 	})
 	// Warm-up: a healthy collective first.
 	runRanks(t, w, func(r *Rank) error {

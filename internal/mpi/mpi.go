@@ -74,12 +74,9 @@ type WorldOptions struct {
 	// Algo selects the collective algorithms ("" = AlgoLog).
 	Algo Algo
 	// Endpoint seeds every endpoint's msg options (ring geometry,
-	// RDMAEager, protocol thresholds).  SharedCache and Mux are filled
-	// in per rank.
+	// RDMAEager, protocol thresholds, the VI reliability level).
+	// SharedCache and Mux are filled in per rank.
 	Endpoint msg.Options
-	// Reliability, when non-nil, enables the reliability layer on every
-	// endpoint with this configuration.
-	Reliability *msg.ReliabilityConfig
 }
 
 // World is one MPI job: n ranks spread round-robin over the cluster's
@@ -219,10 +216,6 @@ func (w *World) pairLocked(i, j int) error {
 	}
 	if err := msg.Pair(w.cluster.Network, ei, ej); err != nil {
 		return err
-	}
-	if w.opts.Reliability != nil {
-		ei.EnableReliability(*w.opts.Reliability)
-		ej.EnableReliability(*w.opts.Reliability)
 	}
 	ei.SetUrgentSink(ri.noteAbort)
 	ej.SetUrgentSink(rj.noteAbort)

@@ -156,6 +156,13 @@ type Options struct {
 	// ScribbleFail (default) fails a concurrent writer with
 	// ErrWriteDuringFlight; ScribbleCopy degrades copy-on-touch.
 	ScribblePolicy ScribblePolicy
+	// Reliability is the endpoint VI's reliability level.  The default,
+	// via.ReliableDelivery, breaks the connection at the first data-path
+	// fault; via.ReliableReception has the NIC retry transient faults
+	// first.  Either way a broken VI surfaces as ErrTransport and the
+	// pair is brought back with Repair.  Both endpoints of a pair must
+	// choose the same level.
+	Reliability via.Reliability
 }
 
 // payloadAttrs builds the registration attributes for user payload
@@ -230,16 +237,19 @@ var (
 	ErrNotPaired    = errors.New("msg: endpoint not paired")
 	// ErrTransport marks a failure of the underlying VI connection (a
 	// faulted chunk, a flushed ring slot, a post refused by the error
-	// state).  With reliability enabled these are retried; without, they
-	// surface to the caller.
+	// state).  The endpoint never retransmits: whatever retrying the VI's
+	// reliability level allows has happened in the NIC, and the pair
+	// stays broken until Repair.
 	ErrTransport = errors.New("msg: transport failure")
-	// ErrRetriesExhausted reports a reliable send that failed every
-	// attempt; the peer is told to stop waiting via kAbort.
-	ErrRetriesExhausted = errors.New("msg: retries exhausted")
 	// ErrPeerAborted reports that the peer gave up on the transfer: a
-	// reliable sender out of retries, or a rendezvous receiver whose
-	// buffer cannot hold the message.
+	// rendezvous receiver whose buffer cannot hold the message.
 	ErrPeerAborted = errors.New("msg: peer aborted transfer")
+	// ErrUnknownProtocol reports a Send with a protocol this package
+	// does not implement.
+	ErrUnknownProtocol = errors.New("msg: unknown protocol")
+	// ErrProtocolViolation reports a control message of a kind the
+	// receiving side's protocol state does not allow.
+	ErrProtocolViolation = errors.New("msg: unexpected control message")
 	// ErrRecvTimeout reports that Recv waited longer than the
 	// endpoint's RecvTimeout for the next message announcement.
 	ErrRecvTimeout = errors.New("msg: receive timed out")
@@ -252,16 +262,11 @@ var (
 type ctrlKind uint8
 
 const (
-	kInline     ctrlKind = iota // eager/one-copy announcement
-	kRTS                        // rendezvous: request to send (size, chunking, remap mode)
-	kGrant                      // rendezvous: one chunk's remote handle and offset
-	kFin                        // rendezvous: one chunk's RDMA writes completed
-	kRndvAbort                  // rendezvous: unwind, for the reason carried
-	kReset                      // reliability: sender starts connection recovery
-	kResetAck                   // reliability: receiver has reset its VI
-	kRingRepost                 // reliability: connection is back, repost your ring
-	kAbort                      // reliability: sender gave up, stop waiting
-	kDone                       // reliability: receiver delivered the sequence number
+	kInline    ctrlKind = iota // eager/one-copy announcement
+	kRTS                       // rendezvous: request to send (size, chunking, remap mode)
+	kGrant                     // rendezvous: one chunk's remote handle and offset
+	kFin                       // rendezvous: one chunk's RDMA writes completed
+	kRndvAbort                 // rendezvous: unwind, for the reason carried
 )
 
 type ctrlMsg struct {
@@ -269,10 +274,6 @@ type ctrlMsg struct {
 	size    int
 	nchunks int
 	handle  via.MemHandle
-	// seq numbers reliable messages so a retransmit after a dropped
-	// completion (data delivered, sender unsure) is detected and
-	// discarded by the receiver instead of delivered twice.
-	seq uint64
 	// Rendezvous fields: chunk is the chunk size and remap the delivery
 	// mode (both carried by the RTS), idx the chunk index, offset the
 	// byte offset within the granted region the chunk lands at, cost the
@@ -302,16 +303,8 @@ type Endpoint struct {
 	meter *simtime.Meter
 
 	peer *Endpoint
-	nw   *via.Network // set by Pair; recovery reconnects through it
+	nw   *via.Network // set by Pair; Repair reconnects through it
 	ctrl chan ctrlMsg
-	// rctrl carries the reliability traffic (handshake and delivery
-	// acks) out of band from the data announcements, so a sender waiting
-	// for a kResetAck or kDone never consumes a message meant for Recv.
-	rctrl chan ctrlMsg
-	// heldRctrl is a reliability message Recv has read but holds back
-	// until the data announcements sent before it are consumed (nextCtrl).
-	heldRctrl ctrlMsg
-	holding   bool
 	// credits gate this endpoint's inline sends: one token per free
 	// receive slot at the peer.  The peer refills it after reposting.
 	credits chan struct{}
@@ -323,11 +316,6 @@ type Endpoint struct {
 	// urgent is the out-of-band token sink fed by the peer's Notify
 	// (nil unless SetUrgentSink was called).
 	urgent atomic.Pointer[func(uint64)]
-
-	// Reliability layer (nil unless EnableReliability was called).
-	rel           *relState
-	nextSeq       uint64 // last sequence number this side assigned
-	lastDelivered uint64 // highest sequence delivered to the application
 
 	// bounce ring (receive side) and one send bounce slot.  ringSlots
 	// and slotSize are the per-endpoint geometry (Options, defaulted).
@@ -387,7 +375,6 @@ func NewEndpoint(name string, nic *vipl.Nic, meter *simtime.Meter, cacheRegions 
 		meter:     meter,
 		opts:      o,
 		ctrl:      make(chan ctrlMsg, 4*o.RingSlots),
-		rctrl:     make(chan ctrlMsg, 4*o.RingSlots),
 		credits:   make(chan struct{}, o.RingSlots),
 		ringSlots: o.RingSlots,
 		slotSize:  o.SlotBytes,
@@ -403,9 +390,9 @@ func NewEndpoint(name string, nic *vipl.Nic, meter *simtime.Meter, cacheRegions 
 	}
 	var err error
 	if o.Mux != nil {
-		e.vi, err = nic.CreateViCQ(o.Mux.CQ())
+		e.vi, err = nic.CreateViCQ(o.Mux.CQ(), o.Reliability)
 	} else {
-		e.vi, err = nic.CreateVi()
+		e.vi, err = nic.CreateVi(o.Reliability)
 	}
 	if err != nil {
 		return nil, err
@@ -443,6 +430,95 @@ func Pair(nw *via.Network, a, b *Endpoint) error {
 		}
 	}
 	return nil
+}
+
+// Repair brings a broken pair back, the VIA way — Reset, then
+// reconnect: both VIs leave whatever state the fault left them in and
+// are connected again, the failed transfer's leftovers (announcements,
+// credits, RDMA-eager slot tokens) are discarded, and both bounce rings
+// are posted afresh.  The link must be up.  Call it once both sides
+// have returned from the failed transfer and before either sends
+// again: neither may be inside Send, and a receiver may at most wait
+// in Recv for the next announcement.  A receiver reaches the failed
+// message only after every message announced before it, so by then
+// nothing a Send returned nil for is left to discard.
+func Repair(a, b *Endpoint) error {
+	if a.peer != b || b.peer != a {
+		return ErrNotPaired
+	}
+	if err := a.resetOwnVI(); err != nil {
+		return err
+	}
+	if err := b.resetOwnVI(); err != nil {
+		return err
+	}
+	if err := a.nw.Connect(a.vi, b.vi); err != nil {
+		return err
+	}
+	drain(a.ctrl)
+	drain(b.ctrl)
+	drain(a.credits)
+	drain(b.credits)
+	if err := a.repostRing(); err != nil {
+		return err
+	}
+	return b.repostRing()
+}
+
+// resetOwnVI brings this endpoint's VI to the idle state whatever state
+// the fault left it in.
+func (e *Endpoint) resetOwnVI() error {
+	switch e.vi.State() {
+	case via.VIError:
+		return e.vi.Reset()
+	case via.VIConnected:
+		// The fault hit only the peer's view (e.g. a refused post): tear
+		// the connection down cleanly.  If the VI raced into the error
+		// state meanwhile, Reset it.
+		if err := e.nw.Disconnect(e.vi); err != nil {
+			if errors.Is(err, via.ErrVIErrorState) {
+				return e.vi.Reset()
+			}
+			if !errors.Is(err, via.ErrNotConnected) {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// repostRing rebuilds the bounce ring from slot zero and grants the
+// peer a full set of credits.  The VI must be connected.  The whole
+// ring goes back with one PostRecvBatch — one doorbell instead of one
+// per slot.  In RDMA-eager mode there are no receive descriptors; both
+// cursors rewind to slot zero and stale slot tokens are discarded
+// instead.
+func (e *Endpoint) repostRing() error {
+	e.rxIdx = 0
+	e.txIdx = 0
+	drain(e.rdmaReady)
+	if e.opts.RDMAEager {
+		for i := 0; i < e.ringSlots; i++ {
+			e.peerGrantCredit()
+		}
+		return nil
+	}
+	e.repostSlots = e.repostSlots[:0]
+	for i := 0; i < e.ringSlots; i++ {
+		e.repostSlots = append(e.repostSlots, i)
+	}
+	return e.flushReposts()
+}
+
+// drain empties a channel without blocking (a nil channel is empty).
+func drain[T any](ch chan T) {
+	for {
+		select {
+		case <-ch:
+		default:
+			return
+		}
+	}
 }
 
 // peerGrantCredit refills one send credit at the peer.
@@ -493,20 +569,19 @@ func (e *Endpoint) armSend(op via.Op, segs ...via.Segment) *via.Descriptor {
 
 // postSlot (re)posts the ring slot's receive descriptor.
 func (e *Endpoint) postSlot(slot int) error {
-	err := e.vi.PostRecv(e.armSlot(slot))
-	if err != nil {
+	if err := e.vi.PostRecv(e.armSlot(slot)); err != nil {
 		e.ringDescs[slot] = nil // see flushReposts
+		return fmt.Errorf("%w: ring repost: %w", ErrTransport, err)
 	}
-	return err
+	return nil
 }
 
 // takeCredit waits for a free ring slot at the peer.  With none in hand
 // on a VI already in the error state it fails instead: the ring died
-// with the connection, and only the recovery this error sets off brings
-// credits back.
+// with the connection, and only Repair brings credits back.
 func (e *Endpoint) takeCredit() error {
 	if len(e.credits) == 0 && e.vi.State() == via.VIError {
-		return fmt.Errorf("%w: no ring credit", via.ErrVIErrorState)
+		return fmt.Errorf("%w: no ring credit: %w", ErrTransport, via.ErrVIErrorState)
 	}
 	<-e.credits
 	return nil
@@ -527,25 +602,9 @@ func (e *Endpoint) waitDesc(d *via.Descriptor) via.Status {
 
 // rdmaToken signals the peer that one RDMA-eager chunk landed in its
 // ring (n = byte count), or poisons the in-flight message (n < 0) so a
-// receiver blocked on the slot flag observes the fault and falls into
-// the recovery path.
+// receiver blocked on the slot flag observes the fault.
 func (e *Endpoint) rdmaToken(n int) {
 	e.peer.rdmaReady <- n
-}
-
-// drainRdmaReady discards leftover slot tokens from a sender's failed
-// attempts (recovery resets both cursors to slot zero).
-func (e *Endpoint) drainRdmaReady() {
-	if e.rdmaReady == nil {
-		return
-	}
-	for {
-		select {
-		case <-e.rdmaReady:
-		default:
-			return
-		}
-	}
 }
 
 // SetUrgentSink registers a callback for urgent tokens delivered by
@@ -573,23 +632,10 @@ func (e *Endpoint) Notify(tok uint64) error {
 
 // sendCtrl delivers a control struct to the peer, charging the PIO
 // write, the wire crossing and the peer's polling-detection delay.
-// Reliability traffic rides the out-of-band rctrl channel; delivery
-// acks are best-effort (dropped if the peer never drains them — the
-// sender's ack wait then falls back to the recovery handshake).
 func (e *Endpoint) sendCtrl(m ctrlMsg) {
 	e.meter.Charge(e.meter.Costs.WireLatency + e.meter.Costs.SyncDetect)
 	e.meter.ChargeN(e.meter.Costs.PIOPerByte, ctrlBytes)
-	switch m.kind {
-	case kReset, kResetAck, kRingRepost, kAbort:
-		e.peer.rctrl <- m
-	case kDone:
-		select {
-		case e.peer.rctrl <- m:
-		default:
-		}
-	default:
-		e.peer.ctrl <- m
-	}
+	e.peer.ctrl <- m
 }
 
 // Stats returns a snapshot of endpoint statistics.
@@ -641,75 +687,35 @@ func (e *Endpoint) Send(b *proc.Buffer, p Protocol) (int, error) {
 	}
 	switch p {
 	case Eager:
-		return e.sendReliable(b, true)
+		return e.sendInline(b, true)
 	case OneCopy:
-		return e.sendReliable(b, false)
+		return e.sendInline(b, false)
 	case ZeroCopy:
 		return e.sendRndv(b, nil, false)
 	case Remap:
 		return e.sendRemap(b)
 	default:
-		return 0, fmt.Errorf("msg: unknown protocol %q", p)
+		return 0, fmt.Errorf("%w: %q", ErrUnknownProtocol, p)
 	}
 }
 
-// nextCtrl blocks for the next control announcement, servicing the
-// out-of-band reliability channel when enabled and honouring the
-// endpoint's RecvTimeout.  The timer only exists when a timeout is
-// configured; the nil channel arm never fires otherwise.
-//
-// Out of band must not mean out of order.  A sender that runs ahead
-// queues announcements of messages that have landed in the ring, then
-// the announcement of the attempt that failed, then the kReset (or
-// kAbort) that failure leads to; everything on ctrl at the moment a
-// reliability message is read was sent before it.  So the reliability
-// message is held back until ctrl is empty: the landed messages are
-// delivered, the failed attempt fails fast on its flushed slot, and only
-// then does the reset rebuild the ring.  Taken first, it would discard
-// the landed messages' announcements as stale and rewind the ring under
-// them — messages the sender was told were delivered.
+// nextCtrl blocks for the next control announcement, honouring the
+// endpoint's RecvTimeout; the timer exists only when one is configured.
 func (e *Endpoint) nextCtrl() (ctrlMsg, error) {
-	var timeout <-chan time.Time
-	if e.opts.RecvTimeout > 0 {
-		t := time.NewTimer(e.opts.RecvTimeout)
-		defer t.Stop()
-		timeout = t.C
+	if e.opts.RecvTimeout <= 0 {
+		return <-e.ctrl, nil
 	}
-	if e.rel == nil {
-		select {
-		case m := <-e.ctrl:
-			return m, nil
-		case <-timeout:
-			return ctrlMsg{}, ErrRecvTimeout
-		}
-	}
-	for {
-		select {
-		case m := <-e.ctrl:
-			return m, nil
-		default:
-		}
-		if e.holding {
-			e.holding = false
-			return e.heldRctrl, nil
-		}
-		select {
-		case m := <-e.ctrl:
-			return m, nil
-		case m := <-e.rctrl:
-			if len(e.ctrl) == 0 {
-				return m, nil
-			}
-			e.heldRctrl, e.holding = m, true
-		case <-timeout:
-			return ctrlMsg{}, ErrRecvTimeout
-		}
+	t := time.NewTimer(e.opts.RecvTimeout)
+	defer t.Stop()
+	select {
+	case m := <-e.ctrl:
+		return m, nil
+	case <-t.C:
+		return ctrlMsg{}, ErrRecvTimeout
 	}
 }
 
 // Recv receives one message into the buffer and returns its length.
-// With reliability enabled it also services the recovery handshake and
-// discards retransmitted duplicates of already-delivered messages.
 func (e *Endpoint) Recv(b *proc.Buffer) (int, error) {
 	return e.recv(b, nil)
 }
@@ -728,33 +734,7 @@ func (e *Endpoint) recv(b *proc.Buffer, held *vipl.MemRegion) (int, error) {
 		}
 		switch m.kind {
 		case kInline:
-			if e.rel != nil && m.seq > 0 && m.seq <= e.lastDelivered {
-				// Retransmit of a message that already reached the
-				// application (the sender's completion was dropped): drain
-				// the chunks to keep credits flowing, deliver nothing —
-				// but do re-acknowledge the delivery.
-				if err := e.drainDuplicate(m); err != nil {
-					if !isTransport(err) {
-						return 0, err
-					}
-					continue
-				}
-				e.sendCtrl(ctrlMsg{kind: kDone, seq: m.seq})
-				continue
-			}
-			n, err := e.recvInline(b, m)
-			if err != nil && e.rel != nil && isTransport(err) {
-				// The connection died mid-message.  The sender drives
-				// recovery and will retransmit; wait for its kReset.
-				continue
-			}
-			if err == nil && e.rel != nil {
-				e.lastDelivered = m.seq
-				// Delivery ack: lets a sender whose final completion was
-				// lost confirm the payload arrived without a retransmit.
-				e.sendCtrl(ctrlMsg{kind: kDone, seq: m.seq})
-			}
-			return n, err
+			return e.recvInline(b, m)
 		case kRTS:
 			n, err := e.rndvRecv(b, m, held)
 			if errors.Is(err, errRndvDegraded) {
@@ -764,36 +744,18 @@ func (e *Endpoint) recv(b *proc.Buffer, held *vipl.MemRegion) (int, error) {
 				continue
 			}
 			return n, err
-		case kReset:
-			if e.rel == nil {
-				return 0, fmt.Errorf("msg: unexpected control message kind %d", m.kind)
-			}
-			if err := e.handlePeerReset(); err != nil {
-				return 0, err
-			}
-			continue
-		case kAbort:
-			// The announcements of the peer's failed attempts are now
-			// stale; drop them so they cannot alias a later message.
-			e.drainStaleData()
-			return 0, ErrPeerAborted
-		case kDone:
-			// Stale delivery ack from this endpoint's earlier role as a
-			// sender; drop it.
-			continue
 		default:
-			return 0, fmt.Errorf("msg: unexpected control message kind %d", m.kind)
+			return 0, fmt.Errorf("%w: kind %d where an announcement belongs", ErrProtocolViolation, m.kind)
 		}
 	}
 }
 
 // sendInline implements both eager (with the extra sender copy) and
-// one-copy (sending straight from registered user memory).  seq is the
-// reliability sequence number (0 when reliability is off).
-func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, error) {
+// one-copy (sending straight from registered user memory).
+func (e *Endpoint) sendInline(b *proc.Buffer, eager bool) (int, error) {
 	size := b.Bytes
 	if eager && !e.opts.RDMAEager && size <= via.MaxInlineData {
-		return e.sendInlineDesc(b, seq)
+		return e.sendInlineDesc(b)
 	}
 	nchunks := (size + e.slotSize - 1) / e.slotSize
 	rdma := e.opts.RDMAEager
@@ -811,7 +773,7 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 		}
 		defer func() { _ = e.cache.Release(reg) }()
 	}
-	e.sendCtrl(ctrlMsg{kind: kInline, size: size, nchunks: nchunks, seq: seq})
+	e.sendCtrl(ctrlMsg{kind: kInline, size: size, nchunks: nchunks})
 
 	sent := 0
 	var tmp []byte
@@ -860,9 +822,9 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 			if rdma {
 				e.rdmaToken(-1)
 			}
-			return sent, err
+			return sent, fmt.Errorf("%w: post: %w", ErrTransport, err)
 		}
-		if st := e.waitChunk(d); st != via.StatusSuccess {
+		if st := e.waitDesc(d); st != via.StatusSuccess {
 			if rdma {
 				// A lost completion still placed the data (the write
 				// precedes the completion write-back), so the slot flag
@@ -874,7 +836,7 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 					e.rdmaToken(-1)
 				}
 			}
-			return sent, &chunkError{chunk: c, nchunks: nchunks, status: st}
+			return sent, chunkFailed(c, nchunks, st)
 		}
 		if rdma {
 			e.txIdx++
@@ -896,12 +858,11 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 // copied once, from the user buffer straight into the image of the
 // reusable send descriptor, and the NIC delivers it straight into the
 // peer's posted ring descriptor — no TPT translation, no gather/scatter
-// DMA, no bounce-slot traffic on either side.  Credits and sequence
-// numbering are identical to the chunked eager path, so reliability
-// retransmits and dedup work unchanged.
-func (e *Endpoint) sendInlineDesc(b *proc.Buffer, seq uint64) (int, error) {
+// DMA, no bounce-slot traffic on either side.  Announcement and credits
+// are the chunked eager path's, so the receiver cannot tell them apart.
+func (e *Endpoint) sendInlineDesc(b *proc.Buffer) (int, error) {
 	size := b.Bytes
-	e.sendCtrl(ctrlMsg{kind: kInline, size: size, nchunks: 1, seq: seq})
+	e.sendCtrl(ctrlMsg{kind: kInline, size: size, nchunks: 1})
 	if err := e.takeCredit(); err != nil {
 		return 0, err
 	}
@@ -914,10 +875,10 @@ func (e *Endpoint) sendInlineDesc(b *proc.Buffer, seq uint64) (int, error) {
 		return 0, err
 	}
 	if err := e.vi.PostSend(d); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("%w: post: %w", ErrTransport, err)
 	}
-	if st := e.waitChunk(d); st != via.StatusSuccess {
-		return 0, &chunkError{chunk: 0, nchunks: 1, status: st}
+	if st := e.waitDesc(d); st != via.StatusSuccess {
+		return 0, chunkFailed(0, 1, st)
 	}
 	e.stats.SentMsgs++
 	e.stats.SentBytes += uint64(size)
@@ -959,7 +920,7 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 		if e.opts.RDMAEager {
 			// Poll the slot's dirty flag: the token arrives once the
 			// sender's RDMA write has landed; a poison token means the
-			// write faulted and the sender is starting recovery.
+			// write faulted.
 			tok := <-e.rdmaReady
 			if tok < 0 {
 				return got, fmt.Errorf("%w: rdma-eager slot %d poisoned", ErrTransport, slot)
@@ -1004,15 +965,11 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 		e.repostSlots = append(e.repostSlots, slot)
 		if len(e.repostSlots) >= threshold {
 			if err := e.flushReposts(); err != nil {
-				if isTransport(err) && got == m.size {
+				if got == m.size {
 					// Every chunk landed; only the repost hit the dying
 					// connection.  The message is complete — deliver it
-					// rather than drop received data.  With reliability on,
-					// ring and credits are rebuilt by the recovery handshake
-					// and the sender's retransmit (it saw the fault) is
-					// discarded by sequence dedup; with it off (a stripe
-					// rail), the connection is dead until an explicit reset
-					// rebuilds the ring anyway.
+					// rather than drop received data.  The connection is
+					// dead until Repair rebuilds the ring anyway.
 					break
 				}
 				return got, err
@@ -1020,7 +977,7 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 		}
 	}
 	if !e.opts.RDMAEager && len(e.repostSlots) > 0 {
-		if err := e.flushReposts(); err != nil && !(isTransport(err) && got == m.size) {
+		if err := e.flushReposts(); err != nil && got != m.size {
 			return got, err
 		}
 	}
@@ -1034,8 +991,8 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 // cleared whether or not the post succeeds.  A connection already in
 // the error state refuses the post; the re-armed descriptors would then
 // never complete, so their slots are left empty — a wait on one fails at
-// once (waitDesc) instead of hanging — until the recovery handshake's
-// repostRing rebuilds the ring from scratch.
+// once (waitDesc) instead of hanging — until Repair's repostRing
+// rebuilds the ring from scratch.
 func (e *Endpoint) flushReposts() error {
 	if len(e.repostSlots) == 0 {
 		return nil
@@ -1050,9 +1007,42 @@ func (e *Endpoint) flushReposts() error {
 		for _, slot := range slots {
 			e.ringDescs[slot] = nil
 		}
-		return err
+		return fmt.Errorf("%w: ring repost: %w", ErrTransport, err)
 	}
 	for range slots {
+		e.peerGrantCredit()
+	}
+	return nil
+}
+
+// chunkFailed is the typed error of a chunk that completed with a
+// non-success status.
+func chunkFailed(chunk, nchunks int, st via.Status) error {
+	return fmt.Errorf("%w: chunk %d/%d failed: %v", ErrTransport, chunk, nchunks, st)
+}
+
+// drainSlots consumes nchunks ring slots without delivering them (a
+// message the receive buffer cannot hold).  Slots are reposted and
+// credits granted so the flow-control state stays balanced and the next
+// message starts at the right slot.
+func (e *Endpoint) drainSlots(nchunks int) error {
+	for c := 0; c < nchunks; c++ {
+		slot := int(e.rxIdx % uint64(e.ringSlots))
+		if e.opts.RDMAEager {
+			if tok := <-e.rdmaReady; tok < 0 {
+				return fmt.Errorf("%w: discarded chunk %d poisoned", ErrTransport, c)
+			}
+			e.rxIdx++
+			e.peerGrantCredit()
+			continue
+		}
+		if st := e.waitDesc(e.ringDescs[slot]); st != via.StatusSuccess {
+			return fmt.Errorf("%w: discarded chunk %d: %v", ErrTransport, c, st)
+		}
+		e.rxIdx++
+		if err := e.postSlot(slot); err != nil {
+			return err
+		}
 		e.peerGrantCredit()
 	}
 	return nil

@@ -7,20 +7,14 @@ import (
 
 // Observability (DESIGN.md §8).  The endpoint mirrors the stack-wide
 // discipline: an atomically attached observer, one atomic load and a
-// branch per reliability event when detached, no allocation either way.
-// The hot send/receive path itself carries no hooks — only the
-// reliability slow path (retry, backoff, recovery, dedup) is
+// branch per protocol event when detached, no allocation either way.
+// The hot eager send/receive path itself carries no hooks — only the
+// rendezvous pipeline and the ownership-transfer protocol are
 // instrumented, which is where the interesting events are.
 
-// epObs bundles the tracer and the endpoint's reliability instruments.
+// epObs bundles the tracer and the endpoint's protocol instruments.
 type epObs struct {
 	trc *trace.Tracer
-
-	retries    *metrics.Counter
-	recoveries *metrics.Counter
-	ackRescues *metrics.Counter
-	duplicates *metrics.Counter
-	aborts     *metrics.Counter
 
 	pipeSends     *metrics.Counter
 	pipeChunks    *metrics.Counter
@@ -30,14 +24,10 @@ type epObs struct {
 	remapSends     *metrics.Counter
 	remapRecvs     *metrics.Counter
 	remapFallbacks *metrics.Counter
-
-	// backoffNS is the wall-clock backoff slept per retry, in
-	// nanoseconds (backoff is real sleeping, not virtual time).
-	backoffNS *metrics.Histogram
 }
 
 // AttachObs attaches (or, with two nils, detaches) an observer to the
-// endpoint's reliability layer.  Either argument may be nil: a nil
+// endpoint's protocol engines.  Either argument may be nil: a nil
 // tracer records only metrics, a nil registry only trace events.
 func (e *Endpoint) AttachObs(trc *trace.Tracer, reg *metrics.Registry) {
 	if trc == nil && reg == nil {
@@ -46,11 +36,6 @@ func (e *Endpoint) AttachObs(trc *trace.Tracer, reg *metrics.Registry) {
 	}
 	e.obs.Store(&epObs{
 		trc:            trc,
-		retries:        reg.Counter("msg.retries"),
-		recoveries:     reg.Counter("msg.recoveries"),
-		ackRescues:     reg.Counter("msg.ack.rescues"),
-		duplicates:     reg.Counter("msg.duplicates"),
-		aborts:         reg.Counter("msg.aborts"),
 		pipeSends:      reg.Counter("msg.pipeline.sends"),
 		pipeChunks:     reg.Counter("msg.pipeline.chunks"),
 		pipeFallbacks:  reg.Counter("msg.pipeline.fallbacks"),
@@ -58,11 +43,10 @@ func (e *Endpoint) AttachObs(trc *trace.Tracer, reg *metrics.Registry) {
 		remapSends:     reg.Counter("msg.remap.sends"),
 		remapRecvs:     reg.Counter("msg.remap.recvs"),
 		remapFallbacks: reg.Counter("msg.remap.fallbacks"),
-		backoffNS:      reg.Histogram("msg.backoff.wallns"),
 	})
 }
 
-// event emits a reliability trace instant and bumps the matching
+// event emits a protocol trace instant and bumps the matching
 // counter.  Arg conventions follow trace.Kind's documentation.  Like
 // pipeline it is a no-op on a nil (detached) observer, so call sites
 // are a bare e.obs.Load().event(...).
@@ -71,16 +55,6 @@ func (o *epObs) event(k trace.Kind, a1, a2 uint64) {
 		return
 	}
 	switch k {
-	case trace.KindRetry:
-		o.retries.Inc()
-	case trace.KindRecovery:
-		o.recoveries.Inc()
-	case trace.KindAckRescue:
-		o.ackRescues.Inc()
-	case trace.KindDuplicate:
-		o.duplicates.Inc()
-	case trace.KindAbort:
-		o.aborts.Inc()
 	case trace.KindPipeFallback:
 		o.pipeFallbacks.Inc()
 	case trace.KindScribbleDetected:

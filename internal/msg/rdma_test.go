@@ -1,12 +1,9 @@
 package msg
 
 import (
-	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/kagent"
 	"repro/internal/mm"
 	"repro/internal/proc"
@@ -18,8 +15,7 @@ import (
 
 // These tests cover the PR-7 endpoint features: the MPICH2-style
 // RDMA-write eager path, configurable ring geometry, the shared
-// completion-queue multiplexer, the shared registration cache, and the
-// bounded recovery handshake.
+// completion-queue multiplexer and the shared registration cache.
 
 // TestRDMAEagerSmall checks a single eager message rides an RDMA write
 // into the peer's ring — no send/recv descriptor pair at all.
@@ -131,75 +127,41 @@ func TestRDMAEagerWithMux(t *testing.T) {
 }
 
 // TestRDMAEagerReliabilityDMAFault is the recovery contract on the
-// RDMA-eager path: a DMA fault poisons the receiver's token stream, the
-// kReset handshake heals the pair, and the retransmit lands.
+// RDMA-eager path: a DMA fault that outlasts the NIC's retries poisons
+// the receiver's token stream, both sides fail typed, and Repair —
+// which discards the stale tokens and rewinds both slot cursors — lets
+// more than a ring of messages land again.
 func TestRDMAEagerReliabilityDMAFault(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0, Options{RDMAEager: true})
-	c.epA.EnableReliability(ReliabilityConfig{Seed: 11})
-	c.epB.EnableReliability(ReliabilityConfig{Seed: 11})
-	inj := faultinject.New(12)
-	c.nicA.SetFaultInjector(inj)
-	inj.FailNth("nic.dma", 1, nil)
-	if _, err := sendRecv(t, c, 3000, Eager, 41); err != nil {
-		t.Fatal(err)
-	}
-	rs := c.epA.ReliabilityStats()
-	if rs.Retries != 1 || rs.Recoveries != 1 {
-		t.Fatalf("sender rel stats = %+v", rs)
-	}
-	// Healthy again: no further retries.
-	if _, err := sendRecv(t, c, 3000, OneCopy, 42); err != nil {
-		t.Fatal(err)
-	}
-	if rs := c.epA.ReliabilityStats(); rs.Retries != 1 {
-		t.Fatalf("healthy resend retried: %+v", rs)
+	c, inj := newFaultyCluster(t, via.ReliableReception, 12, Options{RDMAEager: true})
+	inj.FailEvery(via.SiteDMA, 1, nil)
+	_, err := sendRecv(t, c, 3000, Eager, 41)
+	wantBroken(t, c, err)
+	inj.Disarm(via.SiteDMA)
+	for i := 0; i < c.epB.ringSlots+2; i++ {
+		if _, err := sendRecv(t, c, 3000, Eager, byte(42+i)); err != nil {
+			t.Fatalf("message %d after repair: %v", i, err)
+		}
 	}
 }
 
-// TestRDMAEagerReliabilityCompletionLost checks the ack rescue: the
-// data lands in the remote ring before the completion write-back fails,
-// so a success token is still pushed and the receiver's delivery ack
-// settles the send without a retransmit.
+// TestRDMAEagerReliabilityCompletionLost: the data lands in the remote
+// ring before the completion write-back is dropped; a Reliable
+// Reception NIC writes the completion back again, so the send succeeds
+// once and the receiver delivers exactly one message.
 func TestRDMAEagerReliabilityCompletionLost(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0, Options{RDMAEager: true})
-	c.epA.EnableReliability(ReliabilityConfig{Seed: 13})
-	c.epB.EnableReliability(ReliabilityConfig{Seed: 13})
-	inj := faultinject.New(14)
-	c.nicA.SetFaultInjector(inj)
-	inj.FailNth("nic.completion", 1, nil)
+	c, inj := newFaultyCluster(t, via.ReliableReception, 14, Options{RDMAEager: true})
+	inj.FailNth(via.SiteCompletion, 1, nil)
 	if _, err := sendRecv(t, c, 2000, Eager, 43); err != nil {
 		t.Fatal(err)
 	}
-	rs := c.epA.ReliabilityStats()
-	if rs.AckRescues != 1 || rs.Retries != 0 {
-		t.Fatalf("sender rel stats = %+v, want one ack rescue and no retransmit", rs)
-	}
-	if got := c.epB.ReliabilityStats().Duplicates; got != 0 {
-		t.Fatalf("duplicates = %d, want 0", got)
-	}
-	// The pair is still error-state; the next send runs the recovery.
 	if _, err := sendRecv(t, c, 2000, Eager, 44); err != nil {
 		t.Fatal(err)
 	}
-	if rs := c.epA.ReliabilityStats(); rs.Recoveries != 1 {
-		t.Fatalf("follow-up send did not recover: %+v", rs)
+	if st := c.nicA.Stats(); st.Retries != 1 || st.Faults != 0 {
+		t.Fatalf("retries = %d, faults = %d; want 1 and 0", st.Retries, st.Faults)
 	}
-}
-
-// TestHandshakeTimeout pins the bounded recovery contract on both sides
-// of the handshake: a peer that never answers produces a typed
-// ErrRecoveryTimeout instead of a hung rank.
-func TestHandshakeTimeout(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0)
-	c.epA.EnableReliability(ReliabilityConfig{HandshakeTimeout: 30 * time.Millisecond})
-	c.epB.EnableReliability(ReliabilityConfig{HandshakeTimeout: 30 * time.Millisecond})
-	// Sender side: kReset goes out, no kResetAck ever arrives.
-	if err := c.epA.recoverSender(); !errors.Is(err, ErrRecoveryTimeout) {
-		t.Fatalf("recoverSender err = %v, want ErrRecoveryTimeout", err)
-	}
-	// Receiver side: kResetAck goes out, no kRingRepost ever arrives.
-	if err := c.epB.handlePeerReset(); !errors.Is(err, ErrRecoveryTimeout) {
-		t.Fatalf("handlePeerReset err = %v, want ErrRecoveryTimeout", err)
+	if got := c.epB.Stats().RecvMsgs; got != 2 {
+		t.Fatalf("delivered %d messages, want exactly 2", got)
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 // Degradation rules: payloads under one page, and any send the receiver
 // declines (no staging memory, no TPT room, an injected registration
-// fault), fall back to the reliable one-copy path — still under the write
+// fault), fall back to the one-copy path — still under the write
 // guard, so the ownership semantics hold either way.  An unaligned tail
 // shorter than a page is scatter-copied from the last staged frame.
 //
@@ -64,7 +64,7 @@ func (e *Endpoint) sendRemap(b *proc.Buffer) (int, error) {
 	// under the guard (the ownership semantics hold, only the delivery
 	// mechanism degrades).
 	if size < phys.PageSize {
-		return e.sendReliable(b, false)
+		return e.sendInline(b, false)
 	}
 
 	return e.sendRndv(b, reg, true)

@@ -34,14 +34,15 @@ import (
 )
 
 // abortReason says why a side left the rendezvous, and thereby what
-// both sides do next.  The data phase sits outside the reliability
-// domain: nothing here retries, nothing blocks.
+// both sides do next.  The data phase's RDMA writes get whatever
+// retrying the VI's reliability level gives them in the NIC; above it
+// nothing here retries, nothing blocks.
 type abortReason uint8
 
 const (
 	// abortDegrade: a registration failed or a side declined before the
 	// payload was committed.  Both sides release what they hold, the
-	// sender re-sends through the reliable one-copy path (counted in
+	// sender re-sends through the one-copy path (counted in
 	// PipelineFallbacks / RemapFallbacks) and the receiver keeps
 	// receiving, expecting that announcement.
 	abortDegrade abortReason = iota
@@ -83,7 +84,7 @@ func (e *Endpoint) awaitRndv(want ctrlKind, idx int) (ctrlMsg, error) {
 	case m.kind == kRndvAbort:
 		return m, fmt.Errorf("%w: receiver refused the message", ErrPeerAborted)
 	case m.kind != want || m.idx != idx:
-		return m, fmt.Errorf("msg: rendezvous expected kind %d chunk %d, got kind %d chunk %d", want, idx, m.kind, m.idx)
+		return m, fmt.Errorf("%w: rendezvous expected kind %d chunk %d, got kind %d chunk %d", ErrProtocolViolation, want, idx, m.kind, m.idx)
 	}
 	return m, nil
 }
@@ -101,8 +102,7 @@ func (e *Endpoint) sendRndv(b *proc.Buffer, held *vipl.MemRegion, remap bool) (i
 	err := e.rndvSend(b, held, ctrlMsg{kind: kRTS, size: size, nchunks: nchunks, chunk: chunk, remap: remap})
 	switch {
 	case errors.Is(err, errRndvDegraded):
-		// One-copy needs no receiver-side registration and rides the
-		// reliability layer's retries.
+		// One-copy needs no receiver-side registration.
 		if remap {
 			e.stats.RemapFallbacks++
 			e.obs.Load().event(trace.KindRemapFallback, uint64(size), uint64(nchunks))
@@ -110,7 +110,7 @@ func (e *Endpoint) sendRndv(b *proc.Buffer, held *vipl.MemRegion, remap bool) (i
 			e.stats.PipelineFallbacks++
 			e.obs.Load().event(trace.KindPipeFallback, uint64(size), uint64(nchunks))
 		}
-		return e.sendReliable(b, false)
+		return e.sendInline(b, false)
 	case err != nil:
 		return 0, err
 	}

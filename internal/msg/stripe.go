@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/proc"
 	"repro/internal/simtime"
-	"repro/internal/via"
 )
 
 // Striping interleaves one logical send's chunks across the rails of a
@@ -32,19 +31,15 @@ import (
 //     completion was lost at the sender cannot be delivered twice when
 //     its reroute lands.
 //
-// The rails deliberately do NOT run the per-endpoint reliability layer:
-// the stripe is its own reliability domain.  The kReset recovery
-// handshake rebuilds ring state destructively — handlePeerReset drops
-// every queued data announcement as a failed attempt's leftovers, which
-// is sound for the layer's synchronous request/response contract but
-// loses frames here, where a rail's announcements are consumed
-// asynchronously by a poller and the queue legitimately holds earlier
-// successful frames.  Instead a rail fails fast: the first transport
-// error removes it from the rotation (its already-completed frames stay
-// readable — announcements queue out of band and their ring slots hold
-// delivered data), the chunk is re-issued elsewhere, and the stripe's
-// offset dedup absorbs the one ambiguous case (completion lost after
-// placement, chunk re-issued on a survivor).
+// A rail fails fast: the first transport error removes it from the
+// rotation (its already-completed frames stay readable — announcements
+// queue out of band and their ring slots hold delivered data), the
+// chunk is re-issued elsewhere, and the stripe's offset dedup absorbs
+// the one ambiguous case (completion lost after placement, chunk
+// re-issued on a survivor).  Rails normally run at the default
+// reliability level, so a severed rail dies at its first fault; a
+// ReliableReception rail retries in the NIC first and dies the same way
+// once the retries are spent.
 //
 // A stripe is unidirectional: StripeSender on one node, StripeReceiver
 // on the other, built over per-rail endpoint pairs (rail i of the
@@ -61,8 +56,8 @@ const stripeMagic = 0x56535452 // "VSTR"
 // Stripe defaults.
 const (
 	// DefaultStripeChunk is the per-rail chunk size.  It stays under
-	// OneCopyMax so every frame rides the reliable inline protocols
-	// (the zero-copy rendezvous has no retry story).
+	// OneCopyMax so every frame rides the inline protocols, which a
+	// failed-over chunk can be re-issued on.
 	DefaultStripeChunk = 32 * 1024
 	// DefaultStripePoll bounds each receiver rail poll, so workers
 	// notice Close and severed rails instead of blocking forever.
@@ -74,6 +69,10 @@ const (
 
 // Errors returned by the stripe layer.
 var (
+	// ErrNoRails reports a stripe built over no rails.
+	ErrNoRails = errors.New("msg: stripe needs at least one rail")
+	// ErrNoSuchRail reports a rail index outside the stripe.
+	ErrNoSuchRail = errors.New("msg: no such stripe rail")
 	// ErrAllRailsDown reports a chunk that could not be placed on any
 	// rail: every rail's send failed with a transport-class error.
 	ErrAllRailsDown = errors.New("msg: all stripe rails down")
@@ -119,9 +118,7 @@ func (o StripeOptions) withStripeDefaults(oneCopyMax int) StripeOptions {
 
 // railDeath reports whether a send/receive error means the rail's VI
 // connection is gone (failover material) as opposed to a caller mistake.
-func railDeath(err error) bool {
-	return isTransport(err) || errors.Is(err, via.ErrLinkDown)
-}
+func railDeath(err error) bool { return errors.Is(err, ErrTransport) }
 
 // txRail is one sender-side rail.
 type txRail struct {
@@ -165,11 +162,9 @@ type StripeSender struct {
 
 // NewStripeSender builds the sending half of a stripe over paired rail
 // endpoints (rail i here must be paired with rail i of the receiver).
-// The rails must not have the endpoint reliability layer enabled — the
-// stripe is its own reliability domain (see the package comment above).
 func NewStripeSender(name string, rails []*Endpoint, opts StripeOptions) (*StripeSender, error) {
 	if len(rails) == 0 {
-		return nil, fmt.Errorf("msg: stripe needs at least one rail")
+		return nil, ErrNoRails
 	}
 	opts = opts.withStripeDefaults(rails[0].opts.OneCopyMax)
 	s := &StripeSender{
@@ -182,9 +177,6 @@ func NewStripeSender(name string, rails []*Endpoint, opts StripeOptions) (*Strip
 	for i, ep := range rails {
 		if ep.peer == nil {
 			return nil, fmt.Errorf("msg: stripe rail %d: %w", i, ErrNotPaired)
-		}
-		if ep.rel != nil {
-			return nil, fmt.Errorf("msg: stripe rail %d: reliability layer must stay off under a stripe", i)
 		}
 		frame, err := ep.Process().Malloc(stripeHdrLen + opts.Chunk)
 		if err != nil {
@@ -401,7 +393,7 @@ type StripeReceiver struct {
 // leakcheck bracket will notice otherwise).
 func NewStripeReceiver(name string, rails []*Endpoint, opts StripeOptions) (*StripeReceiver, error) {
 	if len(rails) == 0 {
-		return nil, fmt.Errorf("msg: stripe needs at least one rail")
+		return nil, ErrNoRails
 	}
 	opts = opts.withStripeDefaults(rails[0].opts.OneCopyMax)
 	r := &StripeReceiver{
@@ -418,9 +410,6 @@ func NewStripeReceiver(name string, rails []*Endpoint, opts StripeOptions) (*Str
 	for i, ep := range rails {
 		if ep.peer == nil {
 			return nil, fmt.Errorf("msg: stripe rail %d: %w", i, ErrNotPaired)
-		}
-		if ep.rel != nil {
-			return nil, fmt.Errorf("msg: stripe rail %d: reliability layer must stay off under a stripe", i)
 		}
 		// The poller must wake to notice Close and dead rails.
 		if ep.opts.RecvTimeout <= 0 {
@@ -655,38 +644,19 @@ func AbandonAborted(tx *StripeSender, rx *StripeReceiver) {
 }
 
 // ResetRailPair rejoins a healed rail: quiesce the receiver's poller,
-// Reset both VIs out of the error state (the spec's explicit-recovery
-// discipline), reconnect them, flush every stale control/credit token
-// and rebuild both bounce rings, then return the rail to the sender's
+// Repair the rail's endpoint pair and return the rail to the sender's
 // rotation.  The link itself must already be healed (SetLinkUp), and
 // the rail must be quiescent: it left the send rotation when it died,
 // so once the poller has drained the frames completed before the fault
 // (microseconds after the failover) there is nothing left to lose —
-// the flush only discards the fault's own half-delivered leftovers.
+// Repair only discards the fault's own half-delivered leftovers.
 func ResetRailPair(tx *StripeSender, rx *StripeReceiver, rail int) error {
 	if rail < 0 || rail >= len(tx.rails) || rail >= len(rx.rails) {
-		return fmt.Errorf("msg: rail %d out of range", rail)
+		return fmt.Errorf("%w: rail %d", ErrNoSuchRail, rail)
 	}
 	rx.pause[rail].Lock()
 	defer rx.pause[rail].Unlock()
-	a, b := tx.rails[rail].ep, rx.rails[rail]
-	if err := a.resetOwnVI(); err != nil {
-		return err
-	}
-	if err := b.resetOwnVI(); err != nil {
-		return err
-	}
-	if err := a.nw.Connect(a.vi, b.vi); err != nil {
-		return err
-	}
-	for _, e := range []*Endpoint{a, b} {
-		e.drainStaleData()
-		e.drainCredits()
-	}
-	if err := a.repostRing(); err != nil {
-		return err
-	}
-	if err := b.repostRing(); err != nil {
+	if err := Repair(tx.rails[rail].ep, rx.rails[rail]); err != nil {
 		return err
 	}
 	tx.rails[rail].dead.Store(false)

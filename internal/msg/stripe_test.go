@@ -161,9 +161,8 @@ func TestStripeFailoverMidSend(t *testing.T) {
 	r := newStripeRig(t, 2, StripeOptions{Chunk: 4096, RecvTimeout: 30 * time.Second})
 	defer r.rx.Close()
 	// Sever rail 1 the moment chunk 3 is about to ride it: chunks
-	// already in flight on that rail are lost to StatusLinkError, the
-	// reliability layer burns its retries, and the stripe re-issues on
-	// rail 0.
+	// already in flight on that rail are lost to StatusLinkError and the
+	// stripe re-issues on rail 0.
 	killed := false
 	r.tx.testHook = func(_ uint64, chunk, rail int) {
 		if chunk == 3 && rail == 1 && !killed {

@@ -99,27 +99,11 @@ const (
 	// because the consumer fell behind.  Arg1=VI uid of the incoming
 	// completion, Arg2=total drops so far on the queue.
 	KindCQOverflow
-
-	// Message-layer reliability.
-
-	// KindRetry marks a retransmission attempt.  Arg1=attempt,
-	// Arg2=sequence number.
+	// KindRetry marks a ReliableReception VI's NIC running a failed
+	// data-path step again.  Arg1=VI uid, Arg2=attempt (1-based).
 	KindRetry
-	// KindBackoff marks a backoff sleep.  Arg1=delay wall-ns.
-	KindBackoff
-	// KindRecovery marks a completed connection-recovery handshake.
-	KindRecovery
-	// KindAckRescue marks a lost completion confirmed by the delivery
-	// ack (no retransmit needed).  Arg1=sequence number.
-	KindAckRescue
-	// KindDuplicate marks a retransmitted message discarded by sequence
-	// dedup.  Arg1=sequence number.
-	KindDuplicate
-	// KindAbort marks a reliable send abandoned after exhausting
-	// retries.  Arg1=sequence number.
-	KindAbort
 
-	// Pipelined rendezvous (still message layer).
+	// Message layer: the pipelined rendezvous.
 
 	// KindChunkReg spans one pipeline chunk's registration acquire.
 	// Begin: Arg1=chunk index, Arg2=chunk length.  End: Arg1=1 on
@@ -185,11 +169,6 @@ var kindNames = [numKinds]string{
 	KindSpecRetransmit:     "spec-retransmit",
 	KindCQOverflow:         "cq-overflow",
 	KindRetry:              "retry",
-	KindBackoff:            "backoff",
-	KindRecovery:           "recovery",
-	KindAckRescue:          "ack-rescue",
-	KindDuplicate:          "duplicate",
-	KindAbort:              "abort",
 	KindChunkReg:           "chunk-reg",
 	KindChunkXfer:          "chunk-xfer",
 	KindPipeFallback:       "pipe-fallback",
@@ -214,9 +193,9 @@ func (k Kind) Category() string {
 		return "kagent"
 	case k >= KindCacheHit && k <= KindCacheFlush:
 		return "regcache"
-	case k >= KindDescSend && k <= KindCQOverflow:
+	case k >= KindDescSend && k <= KindRetry:
 		return "via"
-	case k >= KindRetry && k <= KindRemapFallback:
+	case k >= KindChunkReg && k <= KindRemapFallback:
 		return "msg"
 	default:
 		return "other"

@@ -122,8 +122,9 @@ func (n *NIC) CreateCQ(depth int) *CQ {
 // CreateVIWithCQ creates a VI whose send and receive completions are
 // delivered to the given queues.  Either queue may be nil (no
 // notification for that direction), and both may be the same queue.
-func (n *NIC) CreateVIWithCQ(tag ProtectionTag, sendCQ, recvCQ *CQ) (*VI, error) {
-	v, err := n.CreateVI(tag)
+// rel is CreateVI's optional reliability level.
+func (n *NIC) CreateVIWithCQ(tag ProtectionTag, sendCQ, recvCQ *CQ, rel ...Reliability) (*VI, error) {
+	v, err := n.CreateVI(tag, rel...)
 	if err != nil {
 		return nil, err
 	}

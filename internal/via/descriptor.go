@@ -148,6 +148,10 @@ const MaxInlineData = 256
 // ErrInlineTooLarge reports an inline payload exceeding MaxInlineData.
 var ErrInlineTooLarge = errors.New("via: inline payload exceeds MaxInlineData")
 
+// ErrInlineMisuse reports an inline payload on a descriptor that cannot
+// carry one: a non-send operation, or one that has segments.
+var ErrInlineMisuse = errors.New("via: inline payload on a descriptor that cannot carry one")
+
 // Descriptor is one work request.  The process builds it in (conceptually
 // registered) memory, posts it to a VI work queue and rings the doorbell;
 // the NIC fills Status and Transferred on completion.
@@ -236,7 +240,7 @@ func (d *Descriptor) InlineBuf(n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrInlineTooLarge, n, MaxInlineData)
 	}
 	if len(d.Segs) > 0 {
-		return nil, errors.New("via: inline payload on a descriptor with segments")
+		return nil, fmt.Errorf("%w: the descriptor has segments", ErrInlineMisuse)
 	}
 	d.inlineLen = n
 	return d.inline[:n], nil

@@ -143,8 +143,8 @@ func TestDroppedCompletionDeliversData(t *testing.T) {
 	// The receive completed successfully — the payload is already in B's
 	// memory — but the sender's completion was dropped, so the send
 	// descriptor reports completion-lost and the VI pair errors out.
-	// This asymmetry is exactly what forces a reliability layer to
-	// confirm delivery end to end (or retransmit and deduplicate).
+	// A ReliableReception VI writes the completion back again instead
+	// (TestReliableReceptionRewritesDroppedCompletion).
 	if st := rd.Wait(); st != StatusSuccess {
 		t.Fatalf("recv status %v", st)
 	}

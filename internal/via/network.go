@@ -146,11 +146,15 @@ func (nw *Network) linkUp(a, b *NIC) bool {
 	return !bad
 }
 
-// Connect pairs two idle VIs into a reliable point-to-point connection.
-// The two VIs may live on the same NIC (loopback) or different NICs.
+// Connect pairs two idle VIs of one reliability level into a reliable
+// point-to-point connection.  The two VIs may live on the same NIC
+// (loopback) or different NICs.
 func (nw *Network) Connect(a, b *VI) error {
 	if a == b {
 		return ErrSameVI
+	}
+	if a.rel != b.rel {
+		return ErrReliabilityMismatch
 	}
 	// Lock in a stable order to avoid deadlock: every VI carries a
 	// fabric-unique monotonically assigned uid, so the comparison is a

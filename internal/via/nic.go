@@ -53,6 +53,9 @@ type Stats struct {
 	DescriptorsFlushed uint64 // descriptors flushed by error/disconnect paths
 	Recoveries         uint64 // successful VI Resets out of the error state
 	NICResets          uint64 // FaultReset invocations
+	// Retries counts failed data-path steps a ReliableReception VI ran
+	// again: each absorbed a fault that did not reach Faults.
+	Retries uint64
 
 	// Nopin (RegNoPin) accounting: the pin-free data path's scoreboard.
 	IOPageFaults     uint64 // DMA touches on non-present nopin translations
@@ -87,6 +90,7 @@ type nicCounters struct {
 	descFlushed atomic.Uint64
 	recoveries  atomic.Uint64
 	nicResets   atomic.Uint64
+	retries     atomic.Uint64
 
 	ioPageFaults    atomic.Uint64
 	faultRetries    atomic.Uint64
@@ -212,6 +216,7 @@ func (n *NIC) Stats() Stats {
 		DescriptorsFlushed: n.ctr.descFlushed.Load(),
 		Recoveries:         n.ctr.recoveries.Load(),
 		NICResets:          n.ctr.nicResets.Load(),
+		Retries:            n.ctr.retries.Load(),
 
 		IOPageFaults:     n.ctr.ioPageFaults.Load(),
 		FaultRetries:     n.ctr.faultRetries.Load(),
@@ -341,14 +346,18 @@ func (n *NIC) FreeTPTSlots() int { return n.tpt.freeSlots() }
 // Regions reports the number of registered regions.
 func (n *NIC) Regions() int { return n.tpt.regionCount() }
 
-// CreateVI creates a virtual interface carrying the given protection tag.
-func (n *NIC) CreateVI(tag ProtectionTag) (*VI, error) {
+// CreateVI creates a virtual interface carrying the given protection tag
+// and at most one reliability level (ReliableDelivery when omitted).
+func (n *NIC) CreateVI(tag ProtectionTag, rel ...Reliability) (*VI, error) {
 	if tag == InvalidTag {
-		return nil, fmt.Errorf("via: cannot create VI with the invalid tag")
+		return nil, fmt.Errorf("%w: cannot create a VI with it", ErrInvalidTag)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	v := &VI{nic: n, id: n.nextVI, uid: viUIDs.Add(1), tag: tag}
+	if len(rel) > 0 {
+		v.rel = rel[0]
+	}
 	v.maxTransfer.Store(DefaultMaxTransferSize)
 	n.nextVI++
 	n.vis[v.id] = v
@@ -364,7 +373,7 @@ func (n *NIC) CreateVI(tag ProtectionTag) (*VI, error) {
 // the kernel's locking scheme later lets the pages move.
 func (n *NIC) RegisterMemory(pfns []phys.PFN, offset, length int, tag ProtectionTag, attrs MemAttrs) (MemHandle, error) {
 	if tag == InvalidTag {
-		return NoMemHandle, fmt.Errorf("via: registration with the invalid tag")
+		return NoMemHandle, fmt.Errorf("%w: cannot register under it", ErrInvalidTag)
 	}
 	h, err := n.tpt.register(pfns, offset, length, tag, attrs)
 	if err != nil {
@@ -655,8 +664,39 @@ func isInjected(err error) bool { return errors.Is(err, faultinject.ErrInjected)
 
 // isDataFault reports errors that must fault the VI (typed status +
 // error state) rather than complete the descriptor as a protection
-// error: injected faults and unrecovered IO page faults.
-func isDataFault(err error) bool { return isInjected(err) || errors.Is(err, ErrIOPageFault) }
+// error: injected faults, link losses and unrecovered IO page faults.
+func isDataFault(err error) bool {
+	return isInjected(err) || errors.Is(err, ErrLinkDown) || errors.Is(err, ErrIOPageFault)
+}
+
+// transient reports the faults a ReliableReception VI retries: those
+// that complete as a DMA, link or lost-completion status.  Translation
+// faults, IO page faults the host could not resolve, receive underflows
+// and length mismatches are never retried.
+func transient(err error) bool {
+	switch statusForFault(err) {
+	case StatusDMAError, StatusLinkError, StatusCompletionLost:
+		return true
+	}
+	return false
+}
+
+// retry is Reliable Reception: on a ReliableReception VI the NIC runs a
+// step that failed with a transient fault again, at most NICRetries
+// times; step charges the failed step's cost again before re-running
+// it.  It returns the error the step ends with (nil once a re-run
+// succeeds) — on any other VI, or for any other fault, err itself.
+func (n *NIC) retry(v *VI, err error, step func() error) error {
+	for i := 1; i <= NICRetries && v.rel == ReliableReception && transient(err); i++ {
+		n.ctr.retries.Add(1)
+		if obs := n.obs.Load(); obs != nil {
+			obs.retries.Inc()
+			obs.trc.Instant(trace.KindRetry, v.uid, uint64(i))
+		}
+		err = step()
+	}
+	return err
+}
 
 // faultSend is the descriptor half of a data-path fault: the VI (plus
 // peer) enters the error state and the faulted send completes with its
@@ -686,6 +726,23 @@ func (n *NIC) linkCheck(peer *VI) error {
 		return fmt.Errorf("%w: %s <-> %s partitioned", ErrLinkDown, n.name, peer.nic.name)
 	}
 	return n.guard(SiteLink, peer.uid, 0, ErrLinkDown)
+}
+
+// recross is a retried wire crossing: charged again, checked again.
+func (n *NIC) recross(peer *VI) error {
+	n.meter.Charge(n.meter.Costs.WireLatency)
+	return n.linkCheck(peer)
+}
+
+// failed ends a send whose step failed with err, unless retry absorbs
+// the fault by running step again; it reports whether the send is over.
+// The arguments are failSend's.
+func (n *NIC) failed(at *NIC, v *VI, d *Descriptor, peer *VI, rd *Descriptor, err error, step func() error) bool {
+	if err = n.retry(v, err, step); err == nil {
+		return false
+	}
+	n.failSend(at, v, d, peer, rd, err)
+	return true
 }
 
 // failSend ends a send whose data movement failed at the NIC at: a data
@@ -729,17 +786,18 @@ func (n *NIC) matchRecv(v, peer *VI, d *Descriptor, total int) *Descriptor {
 // finish completes a descriptor whose payload has landed: the matched
 // receive rd first (sends only), then the completion write-back, which
 // SiteCompletion guards.  If that is dropped the receiver has completed
-// all the same: the error machine flushes the descriptor so it still
-// terminates, and the retransmit a reliability layer then issues is the
-// duplicate its idempotence handling must absorb.  It reports whether d
-// succeeded.
+// all the same; a retry writes the completion back again (one DMA
+// startup), and a drop that stands faults the VI, whose error machine
+// still terminates d.  It reports whether d succeeded.
 func (n *NIC) finish(v, peer *VI, d, rd *Descriptor, total int) bool {
 	if rd != nil {
 		rd.Immediate, rd.HasImmediate = d.Immediate, d.HasImmediate
 		peer.completeRecv(rd, StatusSuccess, total)
 	}
-	if err := n.guard(SiteCompletion, v.uid, 0, ErrCompletionDropped); err != nil {
-		n.faultSend(v, d, err)
+	if err := n.guard(SiteCompletion, v.uid, 0, ErrCompletionDropped); err != nil && n.failed(n, v, d, nil, nil, err, func() error {
+		n.meter.Charge(n.meter.Costs.DMAStartup)
+		return n.guard(SiteCompletion, v.uid, 0, ErrCompletionDropped)
+	}) {
 		return false
 	}
 	v.completeSend(d, StatusSuccess, total)
@@ -769,19 +827,16 @@ func (n *NIC) processData(v, peer *VI, d *Descriptor) {
 	src, dst := dmaEnd{n, v.tag, d.Segs, nil}, dmaEnd{pn, peer.tag, s.remote[:], rdmaWritable}
 	if read {
 		src, dst = dmaEnd{pn, peer.tag, s.remote[:], rdmaReadable}, src
-		if err := n.linkCheck(peer); err != nil {
-			n.faultSend(v, d, err)
+		if err := n.linkCheck(peer); err != nil && n.failed(n, v, d, nil, nil, err, func() error { return n.recross(peer) }) {
 			return
 		}
 		n.meter.Charge(n.meter.Costs.WireLatency) // request
 	}
-	if err := s.resolve(src, false); err != nil {
-		n.failSend(src.nic, v, d, nil, nil, err)
+	if err := s.resolve(src, false); err != nil && n.failed(src.nic, v, d, nil, nil, err, func() error { return s.restart(src, nil) }) {
 		return
 	}
 	if !read {
-		if err := n.linkCheck(peer); err != nil {
-			n.faultSend(v, d, err)
+		if err := n.linkCheck(peer); err != nil && n.failed(n, v, d, nil, nil, err, func() error { return n.recross(peer) }) {
 			return
 		}
 	}
@@ -814,8 +869,7 @@ func (n *NIC) processData(v, peer *VI, d *Descriptor) {
 			pn.meter.Charge(pn.meter.Costs.DMAStartup)
 		}
 	}
-	if err := s.resolve(dst, true); err != nil {
-		n.failSend(dst.nic, v, d, peer, rd, err)
+	if err := s.resolve(dst, true); err != nil && n.failed(dst.nic, v, d, peer, rd, err, func() error { return s.restart(src, &dst) }) {
 		return
 	}
 	sc.mark(trace.KindScatter, s.total)
@@ -841,8 +895,7 @@ func (n *NIC) processData(v, peer *VI, d *Descriptor) {
 func (n *NIC) processSendInline(v, peer *VI, d *Descriptor) {
 	sc := n.stageStart()
 	payload := d.Inline()
-	if err := n.linkCheck(peer); err != nil {
-		n.faultSend(v, d, err)
+	if err := n.linkCheck(peer); err != nil && n.failed(n, v, d, nil, nil, err, func() error { return n.recross(peer) }) {
 		return
 	}
 	// No DMA startup and no per-byte DMA: the payload was charged as PIO

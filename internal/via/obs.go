@@ -31,6 +31,7 @@ type nicObs struct {
 	translateErrs *metrics.Counter
 	viErrors      *metrics.Counter
 	viResets      *metrics.Counter
+	retries       *metrics.Counter
 
 	// Nopin data path: IO page faults, fault-and-retry resolutions,
 	// speculative retransmits, notifier invalidations and repairs.
@@ -67,6 +68,7 @@ func (n *NIC) AttachObs(trc *trace.Tracer, reg *metrics.Registry) {
 		translateErrs: reg.Counter("via.translate.errors"),
 		viErrors:      reg.Counter("via.vi.errors"),
 		viResets:      reg.Counter("via.vi.resets"),
+		retries:       reg.Counter("via.retries"),
 
 		ioFaults:        reg.Counter("via.nopin.iofaults"),
 		faultRetries:    reg.Counter("via.nopin.retries"),

@@ -125,6 +125,26 @@ func (s *dmaStream) resolve(e dmaEnd, write bool) error {
 	return streamExtents(n.mem, s.dst, s.srcMem, s.src)
 }
 
+// restart runs a transfer again from a clean stream after its source
+// (dst nil) or destination end failed to resolve — the NIC's retry of a
+// DMA fault.  It charges the source DMA's startup again and, for a
+// failed destination, the rest of a retransmission: the payload's DMA,
+// the wire crossing and the destination's startup.  The matched receive
+// has not completed, so the payload lands once.
+func (s *dmaStream) restart(src dmaEnd, dst *dmaEnd) error {
+	PutPayload(s.pb)
+	s.buf, s.pb, s.src, s.dst = nil, nil, s.src[:0], s.dst[:0]
+	m := src.nic.meter
+	m.Charge(m.Costs.DMAStartup)
+	if err := s.resolve(src, false); err != nil || dst == nil {
+		return err
+	}
+	m.ChargeN(m.Costs.DMAPerByte, s.total)
+	m.Charge(m.Costs.WireLatency)
+	dst.nic.meter.Charge(dst.nic.meter.Costs.DMAStartup)
+	return s.resolve(*dst, true)
+}
+
 // streamExtents copies the src extents of sm onto the dst extents of dm,
 // which cover the same number of bytes, cutting at every boundary of
 // either list.

@@ -90,9 +90,11 @@ func (r *region) clone() *region {
 
 // Errors reported by the TPT and the DMA paths.
 var (
-	ErrTPTFull        = errors.New("via: translation and protection table full")
-	ErrBadHandle      = errors.New("via: bad memory handle")
-	ErrTagMismatch    = errors.New("via: protection tag mismatch")
+	ErrTPTFull     = errors.New("via: translation and protection table full")
+	ErrBadHandle   = errors.New("via: bad memory handle")
+	ErrTagMismatch = errors.New("via: protection tag mismatch")
+	// ErrInvalidTag reports a VI or a registration under InvalidTag.
+	ErrInvalidTag     = errors.New("via: the invalid protection tag")
 	ErrOutOfRegion    = errors.New("via: access outside registered region")
 	ErrRDMADisabled   = errors.New("via: RDMA access not enabled on region")
 	ErrRegionReleased = errors.New("via: memory handle already deregistered")

@@ -54,7 +54,33 @@ var (
 	// ErrResetConnected reports a Reset of a healthy connected VI
 	// (disconnect it instead).
 	ErrResetConnected = errors.New("via: Reset on connected VI")
+	// ErrWrongOp reports a descriptor posted to a queue its operation
+	// does not belong on.
+	ErrWrongOp = errors.New("via: descriptor operation not valid on this queue")
+	// ErrReliabilityMismatch reports a Connect of two VIs created with
+	// different reliability levels.
+	ErrReliabilityMismatch = errors.New("via: VIs differ in reliability level")
 )
+
+// Reliability is a VI's reliability level (the VIA spec's
+// VipCreateVi attribute), fixed when the VI is created; both ends of a
+// connection carry the same level.
+type Reliability uint8
+
+const (
+	// ReliableDelivery, the default, ends the connection at the first
+	// data-path fault: the VI pair enters VIError (DESIGN.md §7).
+	ReliableDelivery Reliability = iota
+	// ReliableReception has the NIC retry a transient data-path fault —
+	// a DMA engine or frame fault, a link loss, a dropped completion
+	// write-back — up to NICRetries times, charging the failed step
+	// again each time, before the VI enters VIError as above.
+	ReliableReception
+)
+
+// NICRetries bounds the NIC's retries of one failed step on a
+// ReliableReception VI.
+const NICRetries = 4
 
 // Fault causes recorded when a VI transitions to VIError.
 var (
@@ -87,6 +113,7 @@ type VI struct {
 	id  int
 	uid uint64 // fabric-unique, for lock ordering
 	tag ProtectionTag
+	rel Reliability
 
 	mu       sync.Mutex
 	state    VIState
@@ -122,7 +149,7 @@ var ErrNegativeSegment = errors.New("via: descriptor segment with negative lengt
 // checkRecv validates a receive descriptor at post time, like checkSend.
 func checkRecv(d *Descriptor) error {
 	if d.Op != OpRecv {
-		return fmt.Errorf("via: receive post with %v descriptor", d.Op)
+		return fmt.Errorf("%w: receive post with %v descriptor", ErrWrongOp, d.Op)
 	}
 	return checkSegs(d)
 }
@@ -364,11 +391,11 @@ func (v *VI) checkSend(d *Descriptor) error {
 	switch d.Op {
 	case OpSend, OpRDMAWrite, OpRDMARead:
 	default:
-		return fmt.Errorf("via: PostSend with %v descriptor", d.Op)
+		return fmt.Errorf("%w: PostSend with %v descriptor", ErrWrongOp, d.Op)
 	}
 	if d.IsInline() {
 		if d.Op != OpSend {
-			return fmt.Errorf("via: inline payload on %v descriptor", d.Op)
+			return fmt.Errorf("%w: inline payload on %v descriptor", ErrInlineMisuse, d.Op)
 		}
 		if d.inlineLen > MaxInlineData {
 			return fmt.Errorf("%w: %d > %d", ErrInlineTooLarge, d.inlineLen, MaxInlineData)

@@ -21,7 +21,8 @@ const (
 	tagB ProtectionTag = 20
 )
 
-func newRig(t *testing.T) *rig {
+// newRig builds the fabric; rel is the VIs' optional reliability level.
+func newRig(t *testing.T, rel ...Reliability) *rig {
 	t.Helper()
 	r := &rig{
 		net:  NewNetwork(),
@@ -38,10 +39,10 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	var err error
-	if r.viA, err = r.nicA.CreateVI(tagA); err != nil {
+	if r.viA, err = r.nicA.CreateVI(tagA, rel...); err != nil {
 		t.Fatal(err)
 	}
-	if r.viB, err = r.nicB.CreateVI(tagB); err != nil {
+	if r.viB, err = r.nicB.CreateVI(tagB, rel...); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.net.Connect(r.viA, r.viB); err != nil {
@@ -102,11 +103,11 @@ func TestTPTExhaustion(t *testing.T) {
 
 func TestInvalidTagRejected(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.nicA.CreateVI(InvalidTag); err == nil {
-		t.Fatal("VI with invalid tag created")
+	if _, err := r.nicA.CreateVI(InvalidTag); !errors.Is(err, ErrInvalidTag) {
+		t.Fatalf("VI with invalid tag: err = %v, want ErrInvalidTag", err)
 	}
-	if _, err := r.nicA.RegisterMemory([]phys.PFN{0}, 0, 8, InvalidTag, MemAttrs{}); err == nil {
-		t.Fatal("registration with invalid tag accepted")
+	if _, err := r.nicA.RegisterMemory([]phys.PFN{0}, 0, 8, InvalidTag, MemAttrs{}); !errors.Is(err, ErrInvalidTag) {
+		t.Fatalf("registration with invalid tag: err = %v, want ErrInvalidTag", err)
 	}
 }
 
@@ -445,11 +446,11 @@ func TestPostOnIdleVIFails(t *testing.T) {
 
 func TestWrongOpOnQueue(t *testing.T) {
 	r := newRig(t)
-	if err := r.viA.PostRecv(NewDescriptor(OpSend)); err == nil {
-		t.Fatal("send descriptor accepted on recv queue")
+	if err := r.viA.PostRecv(NewDescriptor(OpSend)); !errors.Is(err, ErrWrongOp) {
+		t.Fatalf("send descriptor on recv queue: err = %v, want ErrWrongOp", err)
 	}
-	if err := r.viA.PostSend(NewDescriptor(OpRecv)); err == nil {
-		t.Fatal("recv descriptor accepted on send queue")
+	if err := r.viA.PostSend(NewDescriptor(OpRecv)); !errors.Is(err, ErrWrongOp) {
+		t.Fatalf("recv descriptor on send queue: err = %v, want ErrWrongOp", err)
 	}
 }
 

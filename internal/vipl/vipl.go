@@ -53,16 +53,17 @@ func (n *Nic) Process() *proc.Process { return n.proc }
 // with it).
 func (n *Nic) Agent() *kagent.Agent { return n.agent }
 
-// CreateVi creates a virtual interface bound to the process's tag.
-func (n *Nic) CreateVi() (*via.VI, error) {
-	return n.agent.NIC().CreateVI(n.tag)
+// CreateVi creates a virtual interface bound to the process's tag, at
+// the reliability level given (ReliableDelivery when omitted).
+func (n *Nic) CreateVi(rel ...via.Reliability) (*via.VI, error) {
+	return n.agent.NIC().CreateVI(n.tag, rel...)
 }
 
 // CreateViCQ creates a VI whose send and receive completions are
 // delivered to cq (VipCreateVi with a completion queue).  The queue may
 // be shared by any number of VIs, including VIs of other NICs.
-func (n *Nic) CreateViCQ(cq *via.CQ) (*via.VI, error) {
-	return n.agent.NIC().CreateVIWithCQ(n.tag, cq, cq)
+func (n *Nic) CreateViCQ(cq *via.CQ, rel ...via.Reliability) (*via.VI, error) {
+	return n.agent.NIC().CreateVIWithCQ(n.tag, cq, cq, rel...)
 }
 
 // MemRegion is a registered memory region owned by this handle.
